@@ -283,8 +283,9 @@ class AugmentConfig:
     probability: float = 0.5
 
     def __post_init__(self):
-        if self.color_shift_max < 0 or self.rotation_max_deg < 0:
-            raise ConfigError("augmentation maxima must be non-negative")
+        if not all(math.isfinite(v) and v >= 0
+                   for v in (self.color_shift_max, self.rotation_max_deg)):
+            raise ConfigError("augmentation maxima must be finite and non-negative")
         if self.smooth_window_max != 0 and not 2 <= self.smooth_window_max:
             raise ConfigError(f"smooth_window_max must be 0 or >= 2, "
                               f"got {self.smooth_window_max}")

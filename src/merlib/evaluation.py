@@ -64,7 +64,8 @@ def folds_loso(manifest: Manifest) -> list:
     folds = []
     for subject in sorted(by_subject):
         test = by_subject[subject]
-        train = [i for i in range(len(manifest.samples)) if i not in set(test)]
+        held_out = set(test)
+        train = [i for i in range(len(manifest.samples)) if i not in held_out]
         folds.append(Fold(train=tuple(train), test=tuple(test),
                           tag=f"subject-{subject}"))
     return folds

@@ -5,14 +5,19 @@ Each block runs three branches off the same input: a pointwise 1x1 conv,
 a 3x3 conv, and a second 3x3 on top of it (an effective 5x5 receptive
 field). The trunk is pointwise + wide. The attention map embeds the
 concatenated branches with a bias-free 1x1 conv and averages the result
-over channels; the trunk is then gated by (1 + map). With the attention
-weight at zero the gate is exactly 1.0, so the block is bit-for-bit the
-plain residual block: checkpoints from plain pretraining can be upgraded
-in place without changing a single logit.
+over channels; the trunk is then gated by (1 + map). By linearity the
+map is computed as one 1x1 conv by the row mean of the stored [C,C,1,1]
+embedding, exact for any embedding, which keeps the checkpoint format
+and parameter count. With the attention weight at zero the gate is
+exactly 1.0, so the block is bit-for-bit the plain residual block:
+checkpoints from plain pretraining can be upgraded in place without
+changing a single logit.
 """
 
+import contextlib
 import json
 import math
+import os
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
@@ -120,13 +125,16 @@ def attention_map(point: tc.Tensor, mid: tc.Tensor, wide: tc.Tensor,
     """Single-channel spatial map from the three branch activations.
 
     Concatenates the branches, embeds them with a bias-free 1x1 conv that
-    keeps the width, and averages over channels: [N,1,H,W].
+    keeps the width, and averages over channels: [N,1,H,W]. The channel
+    mean of a linear map is the map by the mean of its rows, so this runs
+    as one 1x1 conv with the row mean of attn_w as its single output
+    channel; that is exact for any attn_w, not only ones with equal rows.
     """
     cat = tc.channel_concat([point, mid, wide])
     if attn_w.shape != (cat.shape[1], cat.shape[1], 1, 1):
         raise ShapeError(f"attention weight must be [{cat.shape[1]},{cat.shape[1]},1,1], "
                          f"got {attn_w.shape}")
-    return tc.channel_mean(tc.conv2d(cat, attn_w, stride=1, pad=0))
+    return tc.conv2d(cat, tc.row_mean(attn_w), stride=1, pad=0)
 
 
 def _block_apply(x: tc.Tensor, p: BlockParams, stride: int, want_map: bool):
@@ -332,9 +340,27 @@ def encode_checkpoint(model: Network) -> bytes:
     return b"".join(parts)
 
 
+def write_atomic(path, data: bytes):
+    """Replace the file at `path` with `data` in one step.
+
+    The bytes go to a temporary file in the same directory, which is then
+    renamed over `path`, so a write interrupted part way leaves the
+    previous file (or none) in place, never a truncated one.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(model: Network, path):
-    with open(path, "wb") as fh:
-        fh.write(encode_checkpoint(model))
+    write_atomic(path, encode_checkpoint(model))
 
 
 class _Reader:

@@ -1,10 +1,11 @@
 """Dense float64 tensors with a recorded tape for reverse-mode autodiff.
 
 Covers exactly what a small convolutional classifier needs: conv2d,
-channel concat/mean, broadcast elementwise arithmetic, relu, pooling,
-a linear head, softmax cross-entropy, and a finite-difference gradient
-checker. Forward execution is eager; when a tape is active each op
-appends itself, and backward replays the records in reverse order.
+channel concat/mean, a weight row mean, broadcast elementwise arithmetic,
+relu, pooling, a linear head, softmax cross-entropy, and a
+finite-difference gradient checker. Forward execution is eager; when a
+tape is active each op appends itself, and backward replays the records
+in reverse order.
 """
 
 import math
@@ -156,19 +157,36 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
     return cols.reshape(n, c * kh * kw, out_h * out_w)
 
 
-def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Scatter-add patch columns back onto the input grid (im2col adjoint)."""
-    n, c, h, w = x_shape
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += cols[:, :, i, j]
-    if pad:
-        xp = xp[:, :, pad:-pad, pad:-pad]
-    return xp
+def _conv2d_input_grad(g: np.ndarray, w: np.ndarray, x_shape, stride: int,
+                       pad: int) -> np.ndarray:
+    """d(loss)/dx of conv2d as a gather: a stride-1 correlation of the output
+    gradient with the flipped, transposed kernel.
+
+    Each input pixel sums the output gradients whose patches cover it. With
+    the gradient dilated by the stride (zeros between its entries) and
+    padded by k-1-pad on each side (cropped when that is negative), those
+    are exactly the k x k windows a stride-1, pad-0 correlation reads.
+    """
+    n, cin, h, wd = x_shape
+    cout, _, kh, kw = w.shape
+    if kh == kw == 1 and pad == 0:
+        dx = np.matmul(w.reshape(cout, cin).T, g.reshape(n, cout, -1))
+        dx = dx.reshape(n, cin, *g.shape[2:])
+        if stride == 1:
+            return dx
+        full = np.zeros(x_shape)
+        full[:, :, ::stride, ::stride] = dx
+        return full
+    out_h, out_w = g.shape[2:]
+    # Dilate and pad by k-1 on the padded input grid, then keep the window
+    # that lines up with the unpadded input: a pad of k-1-pad, or a crop.
+    gp = np.zeros((n, cout, h + 2 * pad + kh - 1, wd + 2 * pad + kw - 1))
+    gp[:, :, kh - 1:kh - 1 + stride * out_h:stride,
+       kw - 1:kw - 1 + stride * out_w:stride] = g
+    gp = gp[:, :, pad:pad + h + kh - 1, pad:pad + wd + kw - 1]
+    cols = _im2col(gp, kh, kw, 1, 0)  # [N, Cout*kh*kw, H*W]
+    wt = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
+    return np.matmul(wt, cols).reshape(x_shape)
 
 
 def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tensor:
@@ -201,7 +219,12 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tenso
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (wd + 2 * pad - kw) // stride + 1
 
-    cols = _im2col(x.data, kh, kw, stride, pad)
+    if kh == kw == 1 and pad == 0:
+        # A 1x1 kernel's patch columns are the (strided) input itself: a
+        # view at stride 1, a copy otherwise.
+        cols = x.data[:, :, ::stride, ::stride].reshape(n, cin, out_h * out_w)
+    else:
+        cols = _im2col(x.data, kh, kw, stride, pad)
     w2 = w.data.reshape(cout, cin * kh * kw)
     out2 = np.matmul(w2, cols)  # [N, Cout, P]
     if b is not None:
@@ -216,8 +239,7 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tenso
             gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
             _accum(w, gw.reshape(w.shape))
         if _wants_grad(x):
-            dcols = np.matmul(w2.T, g2)
-            _accum(x, _col2im(dcols, x.shape, kh, kw, stride, pad))
+            _accum(x, _conv2d_input_grad(g, w.data, x.shape, stride, pad))
 
     inputs = [x, w] if b is None else [x, w, b]
     return _record(out, inputs, backward)
@@ -260,6 +282,22 @@ def channel_mean(x: Tensor) -> Tensor:
     def backward(g):
         if _wants_grad(x):
             _accum(x, np.broadcast_to(g / c, x.shape))
+
+    return _record(out, [x], backward)
+
+
+def row_mean(x: Tensor) -> Tensor:
+    """Mean over the leading axis, kept as size 1: [R,...] -> [1,...].
+
+    Applied to a [Cout,Cin,kh,kw] conv weight it gives the one-output
+    kernel whose response is the channel mean of the original's.
+    """
+    r = x.shape[0]
+    out = Tensor(np.mean(x.data, axis=0, keepdims=True))
+
+    def backward(g):
+        if _wants_grad(x):
+            _accum(x, np.broadcast_to(g / r, x.shape))
 
     return _record(out, [x], backward)
 

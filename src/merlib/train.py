@@ -8,6 +8,7 @@ from (seed, epoch) and each sample's augmentation generator from
 how the work is scheduled.
 """
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -17,7 +18,8 @@ from . import tensor as tc
 from .data import (AugmentConfig, Manifest, augment, crop_square,
                    load_sample_image, resample_balance)
 from .errors import ConfigError, ShapeError, TrainingError, ValidationError
-from .model import Network, NetworkSpec, build_network, load_checkpoint, save_checkpoint
+from .model import (Network, NetworkSpec, build_network, load_checkpoint,
+                    save_checkpoint, write_atomic)
 
 
 @dataclass(frozen=True)
@@ -27,8 +29,8 @@ class Schedule:
     factor: float = 0.1
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ConfigError(f"lr0 must be positive, got {self.lr0}")
+        if not math.isfinite(self.lr0) or self.lr0 <= 0:
+            raise ConfigError(f"lr0 must be positive and finite, got {self.lr0}")
         if not isinstance(self.step_epochs, int) or self.step_epochs < 1:
             raise ConfigError(f"step_epochs must be a positive integer, "
                               f"got {self.step_epochs!r}")
@@ -62,8 +64,9 @@ class StagePreset:
             raise ConfigError("batch_size and epochs must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must lie in [0,1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not math.isfinite(self.weight_decay) or self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be finite and >= 0, "
+                              f"got {self.weight_decay}")
         Schedule(self.lr0, self.step_epochs)  # reuse its validation
 
     def schedule(self) -> Schedule:
@@ -207,8 +210,7 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
     def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
+        write_atomic(path, self.to_text().encode())
 
 
 def run_stage(model: Network, train_manifest: Manifest, val_manifest,

@@ -206,6 +206,15 @@ def test_train_missing_manifest_exits_one(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_lr0_exits_one(micro_dir, small_net_cfg, tmp_path, value):
+    rc = main(["train", "--manifest", str(micro_dir / "manifest.csv"),
+               "--config", small_net_cfg, "--out", str(tmp_path / "run"),
+               "--epochs", "1", "--lr0", value])
+    assert rc == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_unwritable_output_exits_two(micro_dir, small_net_cfg, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")

@@ -234,6 +234,11 @@ class TestAugment:
             AugmentConfig(probability=1.5)
         with pytest.raises(ConfigError):
             AugmentConfig(crop=(10, 12))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                AugmentConfig(rotation_max_deg=bad)
+            with pytest.raises(ConfigError):
+                AugmentConfig(color_shift_max=bad)
 
 
 class TestResample:

@@ -183,6 +183,20 @@ def test_loso_partitions_each_subject_out():
     assert tested == list(range(n))
 
 
+def test_loso_folds_on_many_interleaved_subjects():
+    # 200 subjects, three samples each, interleaved so that no subject's
+    # samples are contiguous: each fold trains on exactly the other subjects.
+    rng = np.random.default_rng(0)
+    subjects = rng.permutation(np.repeat(np.arange(200), 3))
+    rows = [(f"s{s:03d}", "d", i % 2) for i, s in enumerate(subjects)]
+    manifest = manifest_from_rows(rows, ["a", "b"])
+    folds = folds_loso(manifest)
+    assert [f.tag for f in folds] == [f"subject-s{s:03d}" for s in range(200)]
+    for s, fold in enumerate(folds):
+        assert fold.test == tuple(np.flatnonzero(subjects == s))
+        assert fold.train == tuple(np.flatnonzero(subjects != s))
+
+
 def test_loso_needs_two_subjects():
     manifest = manifest_from_rows([("s0", "d", 0), ("s0", "d", 1)], ["a", "b"])
     with pytest.raises(ManifestError):

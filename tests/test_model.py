@@ -130,6 +130,28 @@ class TestAttentionArithmetic:
         m2 = attention_map(point, mid, wide, tc.Tensor(2.0 * w))
         assert (2.0 * m1.data).tobytes() == m2.data.tobytes()
 
+    def test_map_is_channel_mean_of_full_embedding(self):
+        # Linearity: the row-mean kernel gives the channel mean of the full
+        # C x C embedding for any weight, including rows that differ.
+        rng = np.random.default_rng(9)
+        point = tc.Tensor(rng.uniform(-1, 1, (2, 3, 5, 5)))
+        mid = tc.Tensor(rng.uniform(-1, 1, (2, 2, 5, 5)))
+        wide = tc.Tensor(rng.uniform(-1, 1, (2, 3, 5, 5)))
+        w_fast = tc.Tensor(rng.uniform(-1, 1, (8, 8, 1, 1)), requires_grad=True)
+        w_full = tc.Tensor(w_fast.data.copy(), requires_grad=True)
+        g = tc.Tensor(rng.uniform(-1, 1, (2, 1, 5, 5)))
+        with tc.Tape() as tape:
+            fast = attention_map(point, mid, wide, w_fast)
+            loss = tc.tsum(tc.mul(fast, g))
+        tape.backward(loss)
+        with tc.Tape() as tape:
+            cat = tc.channel_concat([point, mid, wide])
+            full = tc.channel_mean(tc.conv2d(cat, w_full))
+            loss = tc.tsum(tc.mul(full, g))
+        tape.backward(loss)
+        np.testing.assert_allclose(fast.data, full.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w_fast.grad, w_full.grad, rtol=0, atol=1e-12)
+
     def test_map_shape_is_single_channel(self):
         rng = np.random.default_rng(8)
         point = tc.Tensor(rng.uniform(-1, 1, (2, 2, 5, 5)))
@@ -328,6 +350,15 @@ class TestCheckpoints:
     def test_missing_file_is_reported(self, tmp_path):
         with pytest.raises(CheckpointCorrupt):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+    def test_interrupted_save_keeps_previous_file(self, tmp_path, writes_fail_half_way):
+        path = tmp_path / "net.ckpt"
+        before = encode_checkpoint(self._model(seed=11))
+        path.write_bytes(before)
+        with pytest.raises(OSError):
+            save_checkpoint(self._model(seed=12), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.ckpt"]
 
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(ValidationError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from merlib import tensor as tc
 from merlib.errors import (ConfigError, NumericalError, ShapeError,
@@ -26,6 +28,25 @@ def conv2d_reference(x, w, b=None, stride=1, pad=0):
                     if b is not None:
                         out[ni, co, i, j] += b[co]
     return out
+
+
+def conv2d_grads_reference(x, w, g, stride=1, pad=0):
+    """Naive nested-loop (dx, dw, db) of conv2d for output gradient g."""
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for ni in range(n):
+        for co in range(cout):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    rows = slice(i * stride, i * stride + kh)
+                    cols = slice(j * stride, j * stride + kw)
+                    dxp[ni, :, rows, cols] += g[ni, co, i, j] * w[co]
+                    dw[co] += g[ni, co, i, j] * xp[ni, :, rows, cols]
+    dx = dxp[:, :, pad:pad + h, pad:pad + wd]
+    return dx, dw, g.sum(axis=(0, 2, 3))
 
 
 def rand_tensor(rng, shape, requires_grad=False, lo=-1.0, hi=1.0):
@@ -106,6 +127,42 @@ class TestConv2d:
         a = tc.conv2d(x, w, stride=1, pad=1).data.tobytes()
         b = tc.conv2d(x, w, stride=1, pad=1).data.tobytes()
         assert a == b
+
+
+class TestConv2dProperties:
+    """conv2d forward and all three gradients against the loop oracles, over
+    random shapes: every kernel other than 1x1 pad 0 takes the gather path
+    for dx, whatever its stride and pad."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 2), cin=st.integers(1, 3), cout=st.integers(1, 3),
+           h=st.integers(1, 8), w=st.integers(1, 8), kh=st.integers(1, 3),
+           kw=st.integers(1, 3), stride=st.integers(1, 3), pad=st.integers(0, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_loop_oracle(self, n, cin, cout, h, w, kh, kw, stride, pad, seed):
+        rng = np.random.default_rng(seed)
+        x = rand_tensor(rng, (n, cin, h, w), requires_grad=True)
+        wt = rand_tensor(rng, (cout, cin, kh, kw), requires_grad=True)
+        b = rand_tensor(rng, (cout,), requires_grad=True)
+        valid = (kh <= h + 2 * pad and kw <= w + 2 * pad
+                 and (h + 2 * pad - kh) % stride == 0
+                 and (w + 2 * pad - kw) % stride == 0)
+        if not valid:
+            with pytest.raises(ValidationError):
+                tc.conv2d(x, wt, b, stride=stride, pad=pad)
+        assume(valid)
+        with tc.Tape() as tape:
+            out = tc.conv2d(x, wt, b, stride=stride, pad=pad)
+            g = rng.uniform(-1, 1, out.shape)
+            loss = tc.tsum(tc.mul(out, tc.Tensor(g)))
+        tape.backward(loss)
+        want_dx, want_dw, want_db = conv2d_grads_reference(x.data, wt.data, g,
+                                                           stride, pad)
+        np.testing.assert_allclose(out.data, conv2d_reference(
+            x.data, wt.data, b.data, stride, pad), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, want_dx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(wt.grad, want_dw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad, want_db, rtol=0, atol=1e-12)
 
 
 class TestChannelOps:
@@ -296,6 +353,8 @@ class TestGradCheck:
                                                          tc.channel_concat([t, c]))), a))
         cases.append(("channel_mean", lambda t: tc.tsum(tc.mul(tc.channel_mean(t),
                                                                tc.channel_mean(t))), c))
+        cases.append(("row_mean", lambda t: tc.tsum(tc.mul(tc.row_mean(t),
+                                                           tc.row_mean(t))), c))
 
         m = tc.Tensor(rng.uniform(0.5, 1.5, (2, 1, 3, 3)))
         cases.append(("mul/broadcast_map", lambda t: tc.tsum(tc.mul(c, t)), m))

@@ -51,6 +51,9 @@ class TestSchedule:
             Schedule(0.1, 0)
         with pytest.raises(ConfigError):
             Schedule(0.1, 10, factor=1.0)
+        for lr0 in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                Schedule(lr0, 10)
         with pytest.raises(ConfigError):
             lr_at(Schedule(0.1, 10), -1)
 
@@ -77,6 +80,12 @@ class TestPresets:
                         step_epochs=1, momentum=1.0)
         with pytest.raises(ConfigError):
             StagePreset("x", batch_size=1, lr0=0.1, weight_decay=-1, step_epochs=1)
+        for wd in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                StagePreset("x", batch_size=1, lr0=0.1, weight_decay=wd, step_epochs=1)
+        with pytest.raises(ConfigError):
+            StagePreset("x", batch_size=1, lr0=float("nan"), weight_decay=0,
+                        step_epochs=1)
 
 
 class TestSgdStep:
@@ -238,6 +247,16 @@ class TestRunStage:
         assert float(row[1]) == 0.01
         assert float(row[2]) == 1.6094379124341003
         assert row[3] == "nan"
+
+    def test_interrupted_log_save_keeps_previous_file(self, tmp_path,
+                                                      writes_fail_half_way):
+        path = tmp_path / "stage0.log"
+        before = TrainLog([EpochRecord(0, 0.01, 1.5, 0.25)]).to_text().encode()
+        path.write_bytes(before)
+        with pytest.raises(OSError):
+            TrainLog([EpochRecord(0, 0.02, 0.5, 0.75)] * 50).save(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stage0.log"]
 
 
 class TestTransferPipeline:
