@@ -10,6 +10,7 @@ precedence. Exit codes are a stable contract: 0 success, 1 validation error,
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,9 +22,10 @@ from .evaluation import (aggregate, folds_cde, folds_hde, folds_loso,
                          render_report, report_to_json)
 from .imageio import read_image, write_pgm, write_ppm
 from .model import (NetworkSpec, attention_readout, build_network,
-                    load_checkpoint, parameter_grad_errors, save_checkpoint)
+                    load_checkpoint, parameter_grad_errors, save_checkpoint,
+                    write_atomic)
 from .train import (PRESETS, PipelineStage, predict_classes, prepare_input,
-                    preset_override, run_stage, transfer_pipeline)
+                    run_stage, transfer_pipeline)
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -125,28 +127,38 @@ def network_from_config(cfg) -> NetworkSpec:
                              strides=strides)
 
 
-def preset_from_config(cfg, default_name: str):
-    """Named preset with any scalar overrides from the config applied."""
-    name = cfg["preset"] or default_name
+def preset_from_config(cfg, name: str, prefix: str = ""):
+    """Preset `name` with the config's scalar overrides applied.
+
+    Every key is read with `prefix` in front (`pretrain_epochs` for the
+    pretraining stage) and counts only where it exists and is non-empty;
+    a `preset` key so found replaces `name`. `augment = false` applies to
+    every stage.
+    """
+    name = cfg.get(prefix + "preset") or name
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from "
                           f"{', '.join(sorted(PRESETS))}")
-    preset = PRESETS[name]
     overrides = {}
-    for key, cast in (("epochs", _as_int), ("lr0", _as_float),
-                      ("batch_size", _as_int), ("weight_decay", _as_float),
-                      ("step_epochs", _as_int), ("momentum", _as_float)):
-        if cfg[key] != "":
-            overrides[key] = cast(cfg, key)
+    for field, cast in (("epochs", _as_int), ("lr0", _as_float),
+                        ("batch_size", _as_int), ("weight_decay", _as_float),
+                        ("step_epochs", _as_int), ("momentum", _as_float)):
+        if cfg.get(prefix + field):
+            overrides[field] = cast(cfg, prefix + field)
     if not _as_bool(cfg, "augment"):
         overrides["augment"] = None
-    return preset_override(preset, **overrides)
+    return replace(PRESETS[name], **overrides)
 
 
-def _apply_flag_overrides(cfg, args, keys):
+# Flags shared by train and eval; each overrides the config key of its name.
+_STAGE_FLAGS = ("preset", "epochs", "lr0", "batch_size", "init_checkpoint",
+                "init_mode")
+
+
+def _apply_flag_overrides(cfg, args):
     """Flags win over the config file; only explicitly passed flags count."""
-    for key in keys:
-        value = getattr(args, key, None)
+    for key in _STAGE_FLAGS:
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = str(value)
 
@@ -191,8 +203,7 @@ def cmd_gradcheck(args) -> int:
     table = gradcheck_table(errors)
     sys.stdout.write(table)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "gradcheck.txt"), "w") as fh:
-        fh.write(table)
+    write_atomic(os.path.join(args.out, "gradcheck.txt"), table.encode())
     if ok:
         print(f"gradcheck passed: {len(errors)} parameters below "
               f"{GRADCHECK_THRESHOLD:g}")
@@ -227,8 +238,7 @@ def _load_manifests(paths) -> list:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    _apply_flag_overrides(cfg, args, ("preset", "epochs", "lr0", "batch_size",
-                                      "init_checkpoint", "init_mode"))
+    _apply_flag_overrides(cfg, args)
     seed = _check_seed(args.seed)
     spec = network_from_config(cfg)
     attention = _as_bool(cfg, "attention")
@@ -243,18 +253,7 @@ def cmd_train(args) -> int:
         # Two-stage transfer: plain pretraining, then fine-tune with the
         # attention parameters injected at zero.
         pre_manifest = _load_manifests([cfg["pretrain_manifest"]])[0]
-        pre = PRESETS["pretrain"]
-        overrides = {}
-        if cfg["pretrain_epochs"] != "":
-            overrides["epochs"] = _as_int(cfg, "pretrain_epochs")
-        if cfg["pretrain_batch_size"] != "":
-            overrides["batch_size"] = _as_int(cfg, "pretrain_batch_size")
-        if cfg["pretrain_lr0"] != "":
-            overrides["lr0"] = _as_float(cfg, "pretrain_lr0")
-        if not _as_bool(cfg, "augment"):
-            overrides["augment"] = None
-        if overrides:
-            pre = preset_override(pre, **overrides)
+        pre = preset_from_config(cfg, "pretrain", "pretrain_")
         stages.append(PipelineStage(preset=pre, train=pre_manifest,
                                     val=pre_manifest, mode="init",
                                     attention=False))
@@ -303,8 +302,7 @@ def _protocol_folds(protocol, manifest, cfg):
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    _apply_flag_overrides(cfg, args, ("preset", "epochs", "lr0", "batch_size",
-                                      "init_checkpoint", "init_mode"))
+    _apply_flag_overrides(cfg, args)
     seed = _check_seed(args.seed)
     spec = network_from_config(cfg)
     attention = _as_bool(cfg, "attention")
@@ -339,10 +337,10 @@ def cmd_eval(args) -> int:
 
     report = aggregate(folds, fold_predictions, manifest.class_names)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.txt"), "w") as fh:
-        fh.write(render_report(report))
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
-        fh.write(report_to_json(report))
+    write_atomic(os.path.join(args.out, "report.txt"),
+                 render_report(report).encode())
+    write_atomic(os.path.join(args.out, "report.json"),
+                 report_to_json(report).encode())
     print(f"WAR {report.war!r}  UAR {report.uar!r}  macro-F1 {report.macro_f1!r}")
     return 0
 
@@ -407,6 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=".", help="output directory")
 
+    def stage_flags(p):
+        # One flag per _STAGE_FLAGS key, in that order.
+        p.add_argument("--preset", default=None, choices=sorted(PRESETS))
+        p.add_argument("--epochs", type=int, default=None)
+        p.add_argument("--lr0", type=float, default=None)
+        p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
+        p.add_argument("--init-checkpoint", default=None, dest="init_checkpoint")
+        p.add_argument("--init-mode", default=None, dest="init_mode",
+                       choices=["exact", "upgrade"])
+
     p = sub.add_parser("gradcheck", description="Finite-difference "
                        "check of every parameter gradient.")
     common(p)
@@ -428,13 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--val-manifest", default=None)
-    p.add_argument("--preset", default=None, choices=sorted(PRESETS))
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr0", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--init-checkpoint", default=None, dest="init_checkpoint")
-    p.add_argument("--init-mode", default=None, dest="init_mode",
-                   choices=["exact", "upgrade"])
+    stage_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", description="Protocol evaluation: split, train "
@@ -443,13 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", required=True, choices=["hde", "cde", "loso"])
     p.add_argument("--manifest", action="append", required=True,
                    help="repeat to pool several manifests")
-    p.add_argument("--preset", default=None, choices=sorted(PRESETS))
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr0", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--init-checkpoint", default=None, dest="init_checkpoint")
-    p.add_argument("--init-mode", default=None, dest="init_mode",
-                   choices=["exact", "upgrade"])
+    stage_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("visualize", description="Export per-block attention "

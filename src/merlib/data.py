@@ -1,6 +1,10 @@
-"""Dataset manifests, label regrouping, augmentation, and synthetic data.
+"""Dataset manifests, class balancing, augmentation, and synthetic data.
 
-A manifest is a list of samples plus the ordered class vocabulary. Samples
+A manifest is a list of samples plus the ordered class vocabulary. The
+vocabulary is the manifest file's `label` column, in first-seen order, so
+any grouping of a database's emotion labels into classes happens when the
+manifest is written. The `apex` and `clip_len` columns are validated and
+carried along but select nothing: each row already names its frame. Samples
 carry either an image path (resolved at load time) or an in-memory uint8
 array; everything downstream treats the two the same way. All randomness
 comes in through explicit generators so that runs replay exactly.
@@ -24,8 +28,8 @@ class Sample:
     image: object          # path string or uint8 [H,W,3] array
     subject_id: str
     database_id: str
-    raw_label: str
-    label: str             # effective class label; starts equal to raw_label
+    raw_label: str         # label as read; equal to `label`
+    label: str             # class label, one of the manifest's class_names
     apex_index: int = None
     clip_len: int = None
     roi_mask: np.ndarray = None  # ground-truth signal region (synthetic data only)
@@ -64,13 +68,6 @@ def load_sample_image(sample: Sample) -> np.ndarray:
     if isinstance(sample.image, np.ndarray):
         return sample.image
     return imageio.read_image(sample.image)
-
-
-def class_counts(manifest: Manifest) -> dict:
-    counts = {name: 0 for name in manifest.class_names}
-    for s in manifest.samples:
-        counts[s.label] += 1
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -166,67 +163,7 @@ def save_manifest(manifest: Manifest, out_dir, name: str = "manifest.csv") -> st
 
 
 # ---------------------------------------------------------------------------
-# label handling
-
-def regroup(manifest: Manifest, label_map: dict) -> Manifest:
-    """Map raw labels onto a new vocabulary; classes mapped to None are dropped.
-
-    Every label present in the manifest must appear in label_map. The new
-    vocabulary is the map's distinct non-None targets in insertion order,
-    whether or not any samples survive for them.
-    """
-    present = {s.label for s in manifest.samples}
-    missing = sorted(present - set(label_map))
-    if missing:
-        raise ManifestError(f"label_map does not cover labels: {', '.join(missing)}")
-    new_names = []
-    for target in label_map.values():
-        if target is not None and target not in new_names:
-            new_names.append(target)
-    if not new_names:
-        raise ManifestError("label_map drops every class")
-    kept = []
-    for s in manifest.samples:
-        target = label_map[s.label]
-        if target is None:
-            continue
-        kept.append(Sample(image=s.image, subject_id=s.subject_id,
-                           database_id=s.database_id, raw_label=s.raw_label,
-                           label=target, apex_index=s.apex_index,
-                           clip_len=s.clip_len, roi_mask=s.roi_mask))
-    out = Manifest(kept, new_names, dict(manifest.notes))
-    out.notes["class_counts"] = class_counts(out)
-    return out
-
-
-FIVE_EMOTIONS = ("happiness", "surprise", "anger", "disgust", "sadness")
-
-
-def five_emotion_map(drop=("fear", "others")) -> dict:
-    """Identity map over the five shared emotion classes, dropping the rest."""
-    mapping = {name: name for name in FIVE_EMOTIONS}
-    for name in drop:
-        mapping[name] = None
-    return mapping
-
-
-def apex_frame(sample: Sample, strategy: str = "labeled") -> int:
-    """Frame index carrying the expression peak.
-
-    'labeled' trusts the annotation; 'middle' takes floor(clip_len / 2) for
-    databases that do not annotate the peak.
-    """
-    if strategy == "labeled":
-        if sample.apex_index is None:
-            raise ManifestError("sample has no labeled apex frame")
-        return sample.apex_index
-    if strategy == "middle":
-        if sample.clip_len is None:
-            raise ManifestError("sample has no clip length to take the middle of")
-        return sample.clip_len // 2
-    raise ValidationError(f"unknown apex strategy {strategy!r}, "
-                          f"expected 'labeled' or 'middle'")
-
+# pooling and balancing
 
 def resample_balance(manifest: Manifest) -> Manifest:
     """Duplicate minority-class samples until every non-empty class matches

@@ -129,10 +129,6 @@ def war(cm: ConfusionMatrix) -> float:
     return float(np.trace(cm.counts) / cm.total)
 
 
-def accuracy(cm: ConfusionMatrix) -> float:
-    return war(cm)
-
-
 def uar(cm: ConfusionMatrix) -> float:
     """Unweighted average recall: mean per-class recall over the classes
     that actually have test samples."""
@@ -199,7 +195,6 @@ class Report:
     folds: list            # (tag, ConfusionMatrix) in fold order
     war: float
     uar: float
-    accuracy: float
     macro_f1: float
     per_class: list
 
@@ -230,8 +225,8 @@ def aggregate(folds, fold_predictions: dict, class_names) -> Report:
         all_actual.extend(np.asarray(actual).tolist())
     pooled = confusion(all_pred, all_actual, class_names)
     return Report(class_names=list(class_names), pooled=pooled, folds=per_fold,
-                  war=war(pooled), uar=uar(pooled), accuracy=accuracy(pooled),
-                  macro_f1=macro_f1(pooled), per_class=per_class_metrics(pooled))
+                  war=war(pooled), uar=uar(pooled), macro_f1=macro_f1(pooled),
+                  per_class=per_class_metrics(pooled))
 
 
 def percentage_table(cm: ConfusionMatrix) -> str:
@@ -285,7 +280,7 @@ def report_to_json(report: Report) -> str:
         "class_names": list(report.class_names),
         "war": float(report.war),
         "uar": float(report.uar),
-        "accuracy": float(report.accuracy),
+        "accuracy": float(report.war),  # WAR under its common name
         "macro_f1": float(report.macro_f1),
         "per_class": report.per_class,
         "pooled_counts": report.pooled.counts.tolist(),

@@ -59,9 +59,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
@@ -272,18 +269,25 @@ def channel_concat(xs) -> Tensor:
     return _record(out, xs, backward)
 
 
+def _mean(x: Tensor, axes: tuple, keepdims: bool) -> Tensor:
+    """Mean over `axes`; every input element gets g / count back."""
+    out = Tensor(np.mean(x.data, axis=axes, keepdims=keepdims))
+    count = x.size // out.size
+
+    def backward(g):
+        if _wants_grad(x):
+            if not keepdims:
+                g = np.expand_dims(g, axes)
+            _accum(x, np.broadcast_to(g / count, x.shape))
+
+    return _record(out, [x], backward)
+
+
 def channel_mean(x: Tensor) -> Tensor:
     """Mean over the channel axis: [N,C,H,W] -> [N,1,H,W]."""
     if x.data.ndim != 4:
         raise ShapeError(f"channel_mean expects a rank-4 tensor, got shape {x.shape}")
-    c = x.shape[1]
-    out = Tensor(np.mean(x.data, axis=1, keepdims=True))
-
-    def backward(g):
-        if _wants_grad(x):
-            _accum(x, np.broadcast_to(g / c, x.shape))
-
-    return _record(out, [x], backward)
+    return _mean(x, (1,), keepdims=True)
 
 
 def row_mean(x: Tensor) -> Tensor:
@@ -292,14 +296,7 @@ def row_mean(x: Tensor) -> Tensor:
     Applied to a [Cout,Cin,kh,kw] conv weight it gives the one-output
     kernel whose response is the channel mean of the original's.
     """
-    r = x.shape[0]
-    out = Tensor(np.mean(x.data, axis=0, keepdims=True))
-
-    def backward(g):
-        if _wants_grad(x):
-            _accum(x, np.broadcast_to(g / r, x.shape))
-
-    return _record(out, [x], backward)
+    return _mean(x, (0,), keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +342,6 @@ def mul(x: Tensor, y: Tensor) -> Tensor:
     return _record(out, [x, y], backward)
 
 
-def elementwise(x: Tensor, y: Tensor, op: str) -> Tensor:
-    """Dispatch to add or mul by name."""
-    if op == "add":
-        return add(x, y)
-    if op == "mul":
-        return mul(x, y)
-    raise ValidationError(f"unknown elementwise op {op!r}, expected 'add' or 'mul'")
-
-
 def add_scalar(x: Tensor, s: float) -> Tensor:
     """x + s with a Python scalar; gradient passes through unchanged."""
     s = float(s)
@@ -387,14 +375,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     """Spatial mean: [N,C,H,W] -> [N,C]."""
     if x.data.ndim != 4:
         raise ShapeError(f"global_avg_pool expects a rank-4 tensor, got shape {x.shape}")
-    n, c, h, w = x.shape
-    out = Tensor(x.data.mean(axis=(2, 3)))
-
-    def backward(g):
-        if _wants_grad(x):
-            _accum(x, np.broadcast_to(g[:, :, None, None] / (h * w), x.shape))
-
-    return _record(out, [x], backward)
+    return _mean(x, (2, 3), keepdims=False)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -10,7 +10,7 @@ how the work is scheduled.
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,8 +60,10 @@ class StagePreset:
     resample: bool = False
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be positive")
+        for name in ("batch_size", "epochs"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or v < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must lie in [0,1), got {self.momentum}")
         if not math.isfinite(self.weight_decay) or self.weight_decay < 0:
@@ -334,8 +336,3 @@ def transfer_pipeline(spec: NetworkSpec, stages, out_dir, seed: int,
         log.save(os.path.join(out_dir, f"stage{i}.log"))
         logs.append(log)
     return model, logs
-
-
-def preset_override(preset: StagePreset, **overrides) -> StagePreset:
-    """A copy of `preset` with selected fields replaced (epochs, lr0, ...)."""
-    return replace(preset, **overrides)

@@ -109,6 +109,19 @@ def test_gradcheck_passes_on_tiny_network(tmp_path, capsys):
     assert "head.weight" in table
 
 
+def test_interrupted_gradcheck_keeps_previous_table(tmp_path, request):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("blocks = 1\nwidth = 2\ninput_size = 5\n")
+    out = tmp_path / "gc"
+    argv = ["gradcheck", "--config", str(cfg), "--out", str(out), "--seed"]
+    assert main(argv + ["0"]) == 0
+    before = read_bytes(out / "gradcheck.txt")
+    request.getfixturevalue("writes_fail_half_way")
+    assert main(argv + ["1"]) == 2
+    assert read_bytes(out / "gradcheck.txt") == before
+    assert os.listdir(out) == ["gradcheck.txt"]
+
+
 def test_gradcheck_catches_broken_backward(tmp_path, capsys, monkeypatch):
     # Sign-flip relu's backward rule; the finite-difference check must fail.
     def broken_relu(x):
@@ -189,7 +202,8 @@ def test_train_two_stage_pipeline(micro_dir, tmp_path):
     cfg = tmp_path / "pipe.cfg"
     cfg.write_text(f"input_size = 8\nclasses = 3\n"
                    f"pretrain_manifest = {micro_dir / 'manifest.csv'}\n"
-                   f"pretrain_epochs = 1\npretrain_batch_size = 6\n"
+                   f"pretrain_epochs = 2\npretrain_batch_size = 6\n"
+                   f"pretrain_lr0 = 0.005\n"
                    f"epochs = 1\nbatch_size = 6\npreset = loso\n")
     out = tmp_path / "pipe"
     rc = main(["train", "--manifest", str(micro_dir / "manifest.csv"),
@@ -198,6 +212,11 @@ def test_train_two_stage_pipeline(micro_dir, tmp_path):
     stage0 = load_checkpoint(str(out / "stage0.ckpt"))
     stage1 = load_checkpoint(str(out / "stage1.ckpt"))
     assert not stage0.attention and stage1.attention
+    # pretrain_* keys reach the pretraining stage only.
+    rows0 = (out / "stage0.log").read_text().splitlines()[1:]
+    rows1 = (out / "stage1.log").read_text().splitlines()[1:]
+    assert [r.split("\t")[1] for r in rows0] == ["0.005", "0.005"]
+    assert len(rows1) == 1 and rows1[0].split("\t")[1] == "0.001"
 
 
 def test_train_missing_manifest_exits_one(tmp_path):

@@ -1,18 +1,25 @@
-"""Manifests, regrouping, augmentation, resampling, synthetic data, image IO."""
+"""Manifests, augmentation, resampling, synthetic data, image IO."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from merlib import imageio
-from merlib.data import (AugmentConfig, Manifest, Sample, apex_frame, augment,
-                         box_smooth, class_counts, class_roi_mask, crop_square,
-                         five_emotion_map, load_manifest, load_sample_image,
-                         merge_manifests, regroup, resample_balance,
+from merlib.data import (AugmentConfig, Manifest, Sample, augment, box_smooth,
+                         class_roi_mask, crop_square, load_manifest,
+                         load_sample_image, merge_manifests, resample_balance,
                          rotate_image, save_manifest, shift_colors,
                          synth_dataset)
 from merlib.errors import ConfigError, ManifestError, ValidationError
 
 EMOTIONS = ["happiness", "surprise", "anger", "disgust", "sadness"]
+
+
+def label_counts(manifest):
+    """Samples per class, every class of the vocabulary included."""
+    counts = Counter(s.label for s in manifest.samples)
+    return {name: counts[name] for name in manifest.class_names}
 
 
 def make_samples(counts: dict, subject="s1", database="db"):
@@ -85,73 +92,6 @@ class TestManifestFile:
         assert [s.subject_id for s in back.samples] == [s.subject_id for s in m.samples]
         for orig, loaded in zip(m.samples, back.samples):
             assert np.array_equal(load_sample_image(loaded), orig.image)
-
-
-class TestRegroup:
-    def test_casme2_table_counts(self):
-        counts = dict(zip(EMOTIONS, (25, 15, 99, 26, 20)))
-        counts["fear"] = 1
-        counts["others"] = 69
-        m = Manifest(make_samples(counts), list(counts))
-        assert len(m) == 255
-        out = regroup(m, five_emotion_map())
-        assert len(out) == 185
-        assert out.class_names == EMOTIONS
-        assert class_counts(out) == dict(zip(EMOTIONS, (25, 15, 99, 26, 20)))
-
-    def test_samm_table_counts(self):
-        counts = dict(zip(EMOTIONS, (24, 13, 20, 8, 3)))
-        counts["fear"] = 7
-        counts["others"] = 84
-        m = Manifest(make_samples(counts), list(counts))
-        assert len(m) == 159
-        out = regroup(m, five_emotion_map())
-        assert len(out) == 68
-
-    def test_identity_map_keeps_everything(self):
-        counts = {"positive": 51, "negative": 70, "surprise": 43}
-        m = Manifest(make_samples(counts), list(counts))
-        out = regroup(m, {k: k for k in counts})
-        assert len(out) == 164
-        assert out.class_names == ["positive", "negative", "surprise"]
-
-    def test_unmapped_label_is_listed(self):
-        m = Manifest(make_samples({"joy": 2, "rage": 1}), ["joy", "rage"])
-        with pytest.raises(ManifestError, match="rage"):
-            regroup(m, {"joy": "happiness"})
-
-    def test_subjects_and_databases_untouched(self):
-        samples = (make_samples({"happiness": 2}, subject="a", database="d1")
-                   + make_samples({"fear": 1}, subject="b", database="d2"))
-        m = Manifest(samples, ["happiness", "fear"])
-        out = regroup(m, {"happiness": "happiness", "fear": None})
-        assert {(s.subject_id, s.database_id) for s in out.samples} == {("a", "d1")}
-
-    def test_empty_vocabulary_rejected(self):
-        m = Manifest(make_samples({"x": 1}), ["x"])
-        with pytest.raises(ManifestError):
-            regroup(m, {"x": None})
-
-
-class TestApexFrame:
-    def test_middle_of_odd_and_even_clips(self):
-        s = Sample("a", "s", "d", "x", "x", apex_index=None, clip_len=11)
-        assert apex_frame(s, "middle") == 5
-        s.clip_len = 10
-        assert apex_frame(s, "middle") == 5
-
-    def test_labeled_passthrough(self):
-        s = Sample("a", "s", "d", "x", "x", apex_index=42, clip_len=100)
-        assert apex_frame(s, "labeled") == 42
-
-    def test_errors_name_the_strategy(self):
-        s = Sample("a", "s", "d", "x", "x")
-        with pytest.raises(ManifestError, match="apex"):
-            apex_frame(s, "labeled")
-        with pytest.raises(ManifestError, match="clip"):
-            apex_frame(s, "middle")
-        with pytest.raises(ValidationError, match="strategy"):
-            apex_frame(s, "last")
 
 
 class TestAugment:
@@ -245,7 +185,7 @@ class TestResample:
     def test_minority_class_cycled_up(self):
         m = Manifest(make_samples({"a": 3, "b": 1}), ["a", "b"])
         out = resample_balance(m)
-        assert class_counts(out) == {"a": 3, "b": 3}
+        assert label_counts(out) == {"a": 3, "b": 3}
         # originals first, then the cycled duplicates of b's single sample
         assert out.samples[:4] == m.samples
         assert out.samples[4] is m.samples[3]
@@ -259,7 +199,7 @@ class TestResample:
         counts = dict(zip(EMOTIONS, (49, 28, 119, 34, 23)))
         m = Manifest(make_samples(counts), EMOTIONS)
         out = resample_balance(m)
-        assert class_counts(out) == {name: 119 for name in EMOTIONS}
+        assert label_counts(out) == {name: 119 for name in EMOTIONS}
         assert len(out) == 595
 
     def test_distinct_sample_sets_unchanged(self):
@@ -278,7 +218,7 @@ class TestSynthDataset:
         assert len(m) == 120
         assert m.class_names == [f"class{i}" for i in range(5)]
         assert len({s.subject_id for s in m.samples}) == 6
-        per_class = class_counts(m)
+        per_class = label_counts(m)
         assert all(v == 24 for v in per_class.values())
         for s in m.samples[:5]:
             assert s.image.shape == (16, 16, 3)

@@ -382,6 +382,9 @@ class TestWholeModelGradients:
         spec = NetworkSpec.stack((2, 4, 4), 1, 2, 3)
         model = build_network(spec, seed=2)
         before = {n: p.data.copy() for n, p in model.parameters().items()}
-        parameter_grad_errors(model, tc.Tensor(np.ones((1, 2, 4, 4))), np.array([0]))
+        errors = parameter_grad_errors(model, tc.Tensor(np.ones((1, 2, 4, 4))),
+                                       np.array([0]))
+        assert list(errors) == list(model.parameters())
         for n, p in model.parameters().items():
             assert np.array_equal(p.data, before[n]), n
+            assert p.grad is None, n

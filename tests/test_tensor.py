@@ -217,13 +217,6 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             tc.add(x, y)
 
-    def test_elementwise_dispatch(self):
-        x = tc.Tensor(np.ones((2, 2)))
-        y = tc.Tensor(np.ones((2, 2)))
-        assert np.array_equal(tc.elementwise(x, y, "add").data, np.full((2, 2), 2.0))
-        with pytest.raises(ValidationError):
-            tc.elementwise(x, y, "sub")
-
     def test_mul_by_one_is_bitwise_identity(self):
         # IEEE-754: x * 1.0 == x for every finite x, including signed zeros.
         rng = np.random.default_rng(8)

@@ -1,5 +1,7 @@
 """Schedule, optimizer, training stages, and the transfer pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,8 @@ from merlib.model import (NetworkSpec, build_network, load_checkpoint,
                           save_checkpoint)
 from merlib.train import (PRESETS, EpochRecord, OptimState, PipelineStage,
                           Schedule, StagePreset, TrainLog, evaluate_accuracy,
-                          lr_at, predict_classes, prepare_input,
-                          preset_override, run_stage, sgd_step,
-                          transfer_pipeline)
+                          lr_at, predict_classes, prepare_input, run_stage,
+                          sgd_step, transfer_pipeline)
 
 SPEC16 = NetworkSpec.stack((3, 16, 16), 2, 4, 2)
 
@@ -22,7 +23,7 @@ def overfit_preset(**overrides):
     base = StagePreset("overfit", batch_size=8, lr0=0.05, weight_decay=0.0,
                        step_epochs=1000, epochs=5, momentum=0.9,
                        augment=None, resample=False)
-    return preset_override(base, **overrides)
+    return replace(base, **overrides)
 
 
 class TestSchedule:
@@ -86,6 +87,11 @@ class TestPresets:
         with pytest.raises(ConfigError):
             StagePreset("x", batch_size=1, lr0=float("nan"), weight_decay=0,
                         step_epochs=1)
+        for batch_size, epochs in ((float("nan"), float("nan")), (2.5, 1),
+                                   (1, 2.5), (1, 0)):
+            with pytest.raises(ConfigError):
+                StagePreset("x", batch_size=batch_size, lr0=0.1, weight_decay=0,
+                            step_epochs=1, epochs=epochs)
 
 
 class TestSgdStep:
@@ -231,7 +237,7 @@ class TestRunStage:
 
     def test_augmented_training_stays_deterministic(self):
         data = self._dataset()
-        preset = preset_override(PRESETS["loso"], epochs=2, batch_size=4)
+        preset = replace(PRESETS["loso"], epochs=2, batch_size=4)
         texts = []
         for _ in range(2):
             model = build_network(SPEC16, seed=4)
