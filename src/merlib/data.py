@@ -11,6 +11,7 @@ comes in through explicit generators so that runs replay exactly.
 """
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import imageio
 from .errors import ConfigError, ManifestError, ValidationError
+from .model import write_atomic
 
 MANIFEST_COLUMNS = ["image", "subject", "database", "label", "apex", "clip_len"]
 
@@ -154,11 +156,12 @@ def save_manifest(manifest: Manifest, out_dir, name: str = "manifest.csv") -> st
         rows.append([rel, s.subject_id, s.database_id, s.label,
                      "" if s.apex_index is None else str(s.apex_index),
                      "" if s.clip_len is None else str(s.clip_len)])
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(MANIFEST_COLUMNS)
+    writer.writerows(rows)
     path = os.path.join(out_dir, name)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_COLUMNS)
-        writer.writerows(rows)
+    write_atomic(path, text.getvalue().encode())
     return path
 
 

@@ -47,10 +47,12 @@ def read_image(path) -> np.ndarray:
         raise ValidationError(f"{path}: not a binary PPM/PGM file")
     tokens, raster = _read_header_tokens(blob, 4)
     magic = tokens[0]
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
-    except ValueError as e:
-        raise ValidationError(f"{path}: non-numeric header field") from e
+    if magic not in (b"P6", b"P5"):
+        raise ValidationError(f"{path}: magic number {magic!r} is neither P6 nor P5")
+    if not all(t.isdigit() for t in tokens[1:4]):
+        raise ValidationError(f"{path}: header fields must be ASCII digits, got "
+                              f"{b' '.join(tokens[1:4])!r}")
+    width, height, maxval = (int(t) for t in tokens[1:4])
     if width < 1 or height < 1:
         raise ValidationError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:

@@ -393,6 +393,8 @@ def decode_checkpoint(blob: bytes) -> Network:
         payload = json.loads(r.take(header_len).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointCorrupt(f"unreadable architecture header: {e}") from e
+    if not isinstance(payload, dict):
+        raise CheckpointCorrupt("architecture header is not a JSON object")
     if not isinstance(payload.get("attention"), bool):
         raise CheckpointCorrupt("architecture header is missing the attention flag")
     spec = _spec_from_payload(payload)
@@ -414,6 +416,8 @@ def decode_checkpoint(blob: bytes) -> Network:
             raise CheckpointCorrupt(f"{name}: stored shape {dims}, expected {t.data.shape}")
         raw = r.take(8 * t.data.size)
         t.data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
+        if not np.all(np.isfinite(t.data)):
+            raise CheckpointCorrupt(f"{name}: stored values are not all finite")
     if r.pos != len(blob):
         raise CheckpointCorrupt(f"{len(blob) - r.pos} trailing bytes after the last tensor")
     return model

@@ -139,51 +139,39 @@ def _check_finite(arr, what: str):
 # ---------------------------------------------------------------------------
 # convolution
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Unroll [N,C,H,W] into patch columns [N, C*kh*kw, out_h*out_w]."""
-    n, c, h, w = x.shape
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i:i + stride * out_h:stride,
-                                 j:j + stride * out_w:stride]
-    return cols.reshape(n, c * kh * kw, out_h * out_w)
+def _correlate(x: np.ndarray, w: np.ndarray, ph: int, pw: int):
+    """Stride-1 cross-correlation of x [N,C,H,W] with w [O,C,kh,kw], zero-padded
+    by ph rows and pw columns on each side; a negative pad crops instead.
 
-
-def _conv2d_input_grad(g: np.ndarray, w: np.ndarray, x_shape, stride: int,
-                       pad: int) -> np.ndarray:
-    """d(loss)/dx of conv2d as a gather: a stride-1 correlation of the output
-    gradient with the flipped, transposed kernel.
-
-    Each input pixel sums the output gradients whose patches cover it. With
-    the gradient dilated by the stride (zeros between its entries) and
-    padded by k-1-pad on each side (cropped when that is negative), those
-    are exactly the k x k windows a stride-1, pad-0 correlation reads.
+    The padded input is stored with one slack row and its last two axes
+    flattened, row width Wp. Tap (i,j) then reads the contiguous view
+    flat[:, :, i*Wp+j : i*Wp+j+Oh*Wp] (a view, not a copy), and the output
+    sums W[:,:,i,j] @ view over the taps. Each output row comes out Wp wide;
+    its last Wp-Ow columns straddle the row end and are dropped. Returns
+    the [N,O,Oh,Ow] output and the tap views ([N,C,Oh*Wp], taps in
+    row-major order) for the weight gradient.
     """
-    n, cin, h, wd = x_shape
+    ch, cw = max(-ph, 0), max(-pw, 0)
+    x = x[:, :, ch:x.shape[2] - ch, cw:x.shape[3] - cw]
+    ph, pw = max(ph, 0), max(pw, 0)
+    n, c, h, wd = x.shape
     cout, _, kh, kw = w.shape
-    if kh == kw == 1 and pad == 0:
-        dx = np.matmul(w.reshape(cout, cin).T, g.reshape(n, cout, -1))
-        dx = dx.reshape(n, cin, *g.shape[2:])
-        if stride == 1:
-            return dx
-        full = np.zeros(x_shape)
-        full[:, :, ::stride, ::stride] = dx
-        return full
-    out_h, out_w = g.shape[2:]
-    # Dilate and pad by k-1 on the padded input grid, then keep the window
-    # that lines up with the unpadded input: a pad of k-1-pad, or a crop.
-    gp = np.zeros((n, cout, h + 2 * pad + kh - 1, wd + 2 * pad + kw - 1))
-    gp[:, :, kh - 1:kh - 1 + stride * out_h:stride,
-       kw - 1:kw - 1 + stride * out_w:stride] = g
-    gp = gp[:, :, pad:pad + h + kh - 1, pad:pad + wd + kw - 1]
-    cols = _im2col(gp, kh, kw, 1, 0)  # [N, Cout*kh*kw, H*W]
-    wt = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
-    return np.matmul(wt, cols).reshape(x_shape)
+    hp, wp = h + 2 * ph, wd + 2 * pw
+    oh, ow = hp - kh + 1, wp - kw + 1
+    if ph == pw == 0 and kw == 1:
+        # The last tap's view ends at the input's end: no copy, no slack row.
+        flat = x.reshape(n, c, h * wd)
+    else:
+        buf = np.zeros((n, c, hp + 1, wp))
+        buf[:, :, ph:ph + h, pw:pw + wd] = x
+        flat = buf.reshape(n, c, (hp + 1) * wp)
+    views = [flat[:, :, i * wp + j:i * wp + j + oh * wp]
+             for i in range(kh) for j in range(kw)]
+    w_taps = w.reshape(cout, c, kh * kw)
+    out = np.matmul(w_taps[:, :, 0], views[0])
+    for k in range(1, len(views)):
+        out += np.matmul(w_taps[:, :, k], views[k])
+    return out.reshape(n, cout, oh, wp)[:, :, :, :ow], views
 
 
 def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tensor:
@@ -192,6 +180,13 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tenso
     x: [N,Cin,H,W], w: [Cout,Cin,kh,kw], optional b: [Cout]. The output
     spatial extent (H + 2*pad - kh) / stride + 1 must come out as an exact
     integer; fractional extents are rejected rather than truncated.
+
+    Every kernel, stride and pad runs through `_correlate`: the forward is
+    the stride-1 correlation sampled at [::stride, ::stride]. Backward
+    scatters the output gradient into zeros of the stride-1 shape; dx is
+    its stride-1 correlation with the flipped, transposed kernel, padded
+    by k-1-pad per axis (each input pixel sums the gradients of the
+    windows that cover it), and dw pairs it with the forward's tap views.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be [N,C,H,W], got shape {x.shape}")
@@ -213,30 +208,27 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tenso
             f"{kh}x{kw} and pad {pad}; output size must be an exact integer")
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},), got {b.shape}")
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (wd + 2 * pad - kw) // stride + 1
 
-    if kh == kw == 1 and pad == 0:
-        # A 1x1 kernel's patch columns are the (strided) input itself: a
-        # view at stride 1, a copy otherwise.
-        cols = x.data[:, :, ::stride, ::stride].reshape(n, cin, out_h * out_w)
-    else:
-        cols = _im2col(x.data, kh, kw, stride, pad)
-    w2 = w.data.reshape(cout, cin * kh * kw)
-    out2 = np.matmul(w2, cols)  # [N, Cout, P]
+    full, views = _correlate(x.data, w.data, pad, pad)
     if b is not None:
-        out2 += b.data[None, :, None]
-    out = Tensor(out2.reshape(n, cout, out_h, out_w))
+        full += b.data[:, None, None]
+    hf, wf = full.shape[2:]
+    out = Tensor(full[:, :, ::stride, ::stride])
 
     def backward(g):
-        g2 = g.reshape(n, cout, out_h * out_w)
         if b is not None and _wants_grad(b):
-            _accum(b, g2.sum(axis=(0, 2)))
+            _accum(b, g.sum(axis=(0, 2, 3)))
+        # g at its stride-1 positions, in rows as wide as the tap views'.
+        gs = np.zeros((n, cout, hf, wd + 2 * pad))
+        gs[:, :, ::stride, :wf:stride] = g
         if _wants_grad(w):
-            gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
-            _accum(w, gw.reshape(w.shape))
+            g2 = gs.reshape(n, cout, -1)
+            gw = [np.matmul(g2, v.transpose(0, 2, 1)).sum(axis=0) for v in views]
+            _accum(w, np.stack(gw, axis=2).reshape(w.shape))
         if _wants_grad(x):
-            _accum(x, _conv2d_input_grad(g, w.data, x.shape, stride, pad))
+            wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            dx, _ = _correlate(gs[:, :, :, :wf], wt, kh - 1 - pad, kw - 1 - pad)
+            _accum(x, dx)
 
     inputs = [x, w] if b is None else [x, w, b]
     return _record(out, inputs, backward)

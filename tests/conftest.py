@@ -8,9 +8,9 @@ from merlib import model as model_module
 @pytest.fixture
 def writes_fail_half_way(monkeypatch):
     """Every file merlib.model opens takes half of the bytes written to it,
-    then the write fails. Checkpoints, training logs, gradcheck tables and
-    eval reports are all written through `model.write_atomic`, so each of
-    those writes fails this way."""
+    then the write fails. Checkpoints, training logs, gradcheck tables, eval
+    reports and manifests are all written through `model.write_atomic`, so
+    each of those writes fails this way."""
     real_open = open
 
     class HalfWriter:

@@ -14,7 +14,8 @@ from merlib.cli import gradcheck_table, load_config, main, run_gradcheck
 from merlib.data import load_manifest
 from merlib.errors import ConfigError
 from merlib.imageio import read_image, write_ppm
-from merlib.model import NetworkSpec, build_network, load_checkpoint, save_checkpoint
+from merlib.model import (NetworkSpec, build_network, encode_checkpoint,
+                          load_checkpoint, save_checkpoint)
 
 
 def read_bytes(path):
@@ -90,6 +91,18 @@ def test_synth_manifest_loads(micro_dir):
     assert len(manifest.subjects()) == 3
     image = read_image(str(micro_dir / "images" / "00000.ppm"))
     assert image.shape == (8, 8, 3)
+
+
+def test_interrupted_synth_keeps_previous_manifest(tmp_path, request):
+    out = tmp_path / "synth"
+    argv = ["synth", "--out", str(out), "--classes", "2", "--subjects", "2",
+            "--per-class", "1", "--size", "8", "--seed"]
+    assert main(argv + ["1"]) == 0
+    before = read_bytes(out / "manifest.csv")
+    request.getfixturevalue("writes_fail_half_way")
+    assert main(argv + ["2"]) == 2
+    assert read_bytes(out / "manifest.csv") == before
+    assert sorted(os.listdir(out)) == ["images", "manifest.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +373,18 @@ def test_visualize_plain_checkpoint_gives_zero_maps(micro_dir, tmp_path):
     assert rc == 0
     gray = read_image(str(out / "map_block0.pgm"))
     assert (np.asarray(gray) == 0).all()
+
+
+def test_visualize_rejects_non_object_checkpoint_header(micro_dir, tmp_path):
+    blob = encode_checkpoint(build_network(NetworkSpec.stack((3, 8, 8), 1, 4, 3), seed=9))
+    header_len = int.from_bytes(blob[12:16], "little")
+    ckpt = tmp_path / "list.ckpt"
+    ckpt.write_bytes(blob[:12] + (3).to_bytes(4, "little") + b"[1]"
+                     + blob[16 + header_len:])
+    rc = main(["visualize", "--checkpoint", str(ckpt),
+               "--image", str(micro_dir / "images" / "00000.ppm"),
+               "--out", str(tmp_path / "viz")])
+    assert rc == 1
 
 
 def test_visualize_rejects_undersized_image(micro_dir, tmp_path):

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from merlib import imageio
 from merlib.data import (AugmentConfig, Manifest, Sample, augment, box_smooth,
@@ -280,6 +282,26 @@ class TestMerge:
             merge_manifests([a, b])
 
 
+@st.composite
+def ppm_headers(draw):
+    """(magic, (width, height, maxval) tokens, separators, raster length
+    minus the header's need): each part is well formed three times in four."""
+    def part(good, bad):
+        return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 0 else good))
+
+    magic = part([b"P6", b"P5"], [b"P6x", b"P5\x00", b"P3", b"p6"])
+    bad_numbers = [b"0", b"1_0", b"+2", b"-1", b"2.0", b"0x2", "\uff12".encode()]
+    fields = (part([b"1", b"2", b"3", b"02"], bad_numbers),
+              part([b"1", b"2", b"3", b"02"], bad_numbers),
+              part([b"255", b"0255"], [b"256", b"2_55", b"+255", b"65535"]))
+    # Any whitespace or comments between tokens; exactly one whitespace byte
+    # between the last token and the raster.
+    seps = (*draw(st.lists(st.sampled_from([b" ", b"\n", b"\t\r", b"\n# note\n"]),
+                           min_size=3, max_size=3)),
+            draw(st.sampled_from([b" ", b"\n", b"\t", b"\r"])))
+    return magic, fields, seps, part([0, 0, 1, 5], [-1, -3])
+
+
 class TestImageIO:
     def test_ppm_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -322,3 +344,38 @@ class TestImageIO:
         path.write_bytes(b"JFIF....")
         with pytest.raises(ValidationError):
             imageio.read_image(path)
+
+    @pytest.mark.parametrize("header", [
+        b"P6x 2 2 255\n",       # used to decode as grayscale
+        b"P5\x00 2 2 255\n",
+        b"P6 1_0 1 255\n",      # used to read as width 10
+        b"P6 +2 2 255\n",
+        b"P6 2 2 2_55\n",
+        "P6 \uff12 2 255\n".encode(),  # a fullwidth digit
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "h.ppm"
+        path.write_bytes(header + bytes(30))
+        with pytest.raises(ValidationError):
+            imageio.read_image(path)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(header=ppm_headers(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_headers_give_validation_error_or_exact_image(
+            self, tmp_path_factory, header, seed):
+        magic, fields, seps, extra = header
+        width, height, maxval = (int(f) if f.isdigit() else 0 for f in fields)
+        channels = 3 if magic == b"P6" else 1
+        need = width * height * channels
+        raster = np.random.default_rng(seed).bytes(max(need + extra, 0))
+        path = tmp_path_factory.getbasetemp() / "property.ppm"
+        header = b"".join(token + sep for token, sep in zip((magic, *fields), seps))
+        path.write_bytes(header + raster)
+        if not (magic in (b"P6", b"P5") and all(f.isdigit() for f in fields)
+                and width >= 1 and height >= 1 and maxval == 255
+                and len(raster) >= need):
+            with pytest.raises(ValidationError):
+                imageio.read_image(path)
+            return
+        want = np.frombuffer(raster[:need], np.uint8).reshape(height, width, channels)
+        assert np.array_equal(imageio.read_image(path), np.repeat(want, 3 // channels, axis=2))

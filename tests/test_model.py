@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from merlib import tensor as tc
 from merlib.errors import (CheckpointCorrupt, CheckpointSpecMismatch,
@@ -28,6 +30,29 @@ def random_block_params(rng, bs: BlockSpec, attention: bool, scale=0.5) -> Block
         wide_b=u(bs.wide_channels),
         attn_w=(u(cc, cc, 1, 1) if attention else None),
     )
+
+
+@st.composite
+def network_specs(draw, max_blocks=3, max_width=3):
+    """Random NetworkSpec with strides in {1, 2}: the input size is grown
+    back from the final feature size, so every strided conv tiles exactly."""
+    strides = draw(st.lists(st.sampled_from([1, 2]), max_size=max_blocks))
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    for s in reversed(strides):
+        h, w = s * (h - 1) + 1, s * (w - 1) + 1
+    cin = c = draw(st.integers(1, max_width))
+    blocks = []
+    for s in strides:
+        width = draw(st.integers(1, max_width))
+        blocks.append(BlockSpec(c, width, draw(st.integers(1, max_width)), width, stride=s))
+        c = width
+    return NetworkSpec((cin, h, w), tuple(blocks), draw(st.integers(2, 4)))
+
+
+def with_header(blob: bytes, header: bytes) -> bytes:
+    """The checkpoint `blob` with its JSON architecture header replaced."""
+    old_len = int.from_bytes(blob[12:16], "little")
+    return blob[:12] + len(header).to_bytes(4, "little") + header + blob[16 + old_len:]
 
 
 class TestSpecs:
@@ -88,6 +113,30 @@ class TestZeroAttentionIdentity:
         gated = build_network(spec, seed=9, attention=True)
         x = tc.Tensor(np.random.default_rng(2).uniform(-1, 1, (3, 3, 8, 8)))
         assert plain.forward(x).data.tobytes() == gated.forward(x).data.tobytes()
+
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(spec=network_specs(), n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_zero_attention_and_upgrade_are_bit_exact(self, tmp_path_factory, spec, n, seed):
+        rng = np.random.default_rng(seed)
+        x = tc.Tensor(rng.uniform(-1, 1, (n, *spec.input_shape)))
+        fresh_plain = build_network(spec, seed=seed, attention=False)
+        fresh_gated = build_network(spec, seed=seed, attention=True)
+        assert (fresh_plain.forward(x).data.tobytes()
+                == fresh_gated.forward(x).data.tobytes())
+
+        plain = fresh_plain
+        for p in plain.parameters().values():
+            p.data = rng.uniform(-1, 1, p.shape)  # non-zero biases too
+        path = tmp_path_factory.getbasetemp() / "property_plain.ckpt"
+        save_checkpoint(plain, path)
+        upgraded = load_checkpoint(path, spec, mode="upgrade")
+        want = plain.forward(x).data.tobytes()
+        assert upgraded.forward(x).data.tobytes() == want
+        readout = attention_readout(upgraded, x)
+        assert readout.logits.data.tobytes() == want
+        assert not any(m.data.any() for m in readout.maps)
+        assert count_params(upgraded) == count_params(fresh_gated)
 
 
 class TestAttentionArithmetic:
@@ -338,6 +387,34 @@ class TestCheckpoints:
         path.write_bytes(blob + b"\x00")
         with pytest.raises(CheckpointCorrupt):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [b"[1]", b"null", b"7", b'"attention"'])
+    def test_non_object_header_is_corrupt(self, header):
+        blob = with_header(encode_checkpoint(self._model()), header)
+        with pytest.raises(CheckpointCorrupt, match="not a JSON object"):
+            decode_checkpoint(blob)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_is_corrupt(self, value):
+        model = self._model()
+        model.head_b.data[1] = value
+        with pytest.raises(CheckpointCorrupt, match="head.bias"):
+            decode_checkpoint(encode_checkpoint(model))
+
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(spec=network_specs(max_blocks=1, max_width=2), attention=st.booleans())
+    def test_every_truncation_and_flipped_header_byte_is_rejected(self, spec, attention):
+        blob = encode_checkpoint(build_network(spec, seed=0, attention=attention))
+        # Magic, version, header length, JSON header and tensor count.
+        header_end = 16 + int.from_bytes(blob[12:16], "little") + 4
+        for cut in range(len(blob)):
+            with pytest.raises(ValidationError):
+                decode_checkpoint(blob[:cut])
+        for i in range(header_end):
+            flipped = bytearray(blob)
+            flipped[i] ^= 0xFF
+            with pytest.raises(ValidationError):
+                decode_checkpoint(bytes(flipped))
 
     def test_version_bump_is_detected(self, tmp_path):
         blob = bytearray(encode_checkpoint(self._model()))

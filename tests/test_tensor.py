@@ -131,8 +131,9 @@ class TestConv2d:
 
 class TestConv2dProperties:
     """conv2d forward and all three gradients against the loop oracles, over
-    random shapes: every kernel other than 1x1 pad 0 takes the gather path
-    for dx, whatever its stride and pad."""
+    random shapes: every kernel, stride and pad runs through the one
+    shift-accumulate correlation, with per-axis pads for dx on non-square
+    kernels and a stride-1 scatter of the gradient when strided."""
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 2), cin=st.integers(1, 3), cout=st.integers(1, 3),
@@ -414,7 +415,7 @@ class TestGradCheck:
 
 
 class TestConvGradientVsReference:
-    """The im2col backward must agree with finite differences of the naive oracle."""
+    """The conv2d weight gradient must agree with finite differences of the naive oracle."""
 
     def test_weight_grad_matches_oracle_fd(self):
         rng = np.random.default_rng(53)
