@@ -22,10 +22,8 @@ from .evaluation import (aggregate, folds_cde, folds_hde, folds_loso,
                          render_report, report_to_json)
 from .imageio import read_image, write_pgm, write_ppm
 from .model import (NetworkSpec, attention_readout, build_network,
-                    load_checkpoint, parameter_grad_errors, save_checkpoint,
-                    write_atomic)
-from .train import (PRESETS, PipelineStage, predict_classes, prepare_input,
-                    run_stage, transfer_pipeline)
+                    load_checkpoint, parameter_grad_errors, write_atomic)
+from .train import PRESETS, predict_classes, prepare_input, train_and_save
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -169,6 +167,27 @@ def _require_file(path, what):
     return path
 
 
+def _init_source(cfg, two_stage: bool = False) -> tuple:
+    """(init_checkpoint or None, init_mode) for the first trained stage.
+
+    Rejects, before any work, the combinations no run could honour: an
+    unknown mode, an upgrade with nothing to upgrade, and a starting
+    checkpoint for a two-stage run, whose pretraining starts fresh.
+    """
+    checkpoint, mode = cfg["init_checkpoint"] or None, cfg["init_mode"]
+    if mode not in ("exact", "upgrade"):
+        raise ConfigError(f"init_mode must be 'exact' or 'upgrade', got {mode!r}")
+    if two_stage and checkpoint:
+        raise ConfigError("init_checkpoint cannot be combined with "
+                          "pretrain_manifest: the pretraining stage starts "
+                          "from a fresh network")
+    if mode == "upgrade" and checkpoint is None:
+        raise ConfigError("init_mode upgrade needs an init_checkpoint to upgrade")
+    if checkpoint:
+        _require_file(checkpoint, "checkpoint")
+    return checkpoint, mode
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 
@@ -242,36 +261,27 @@ def cmd_train(args) -> int:
     seed = _check_seed(args.seed)
     spec = network_from_config(cfg)
     attention = _as_bool(cfg, "attention")
+    two_stage = bool(cfg["pretrain_manifest"])
+    init_checkpoint, init_mode = _init_source(cfg, two_stage)
     train_manifest = _load_manifests([args.manifest])[0]
     val_path = args.val_manifest or cfg["val_manifest"] or None
     val_manifest = _load_manifests([val_path])[0] if val_path else train_manifest
 
     preset = preset_from_config(cfg, "pretrain")
-    stages = []
-    init_checkpoint = cfg["init_checkpoint"] or None
-    if cfg["pretrain_manifest"]:
+    stem = os.path.join(args.out, "stage0")
+    if two_stage:
         # Two-stage transfer: plain pretraining, then fine-tune with the
         # attention parameters injected at zero.
         pre_manifest = _load_manifests([cfg["pretrain_manifest"]])[0]
         pre = preset_from_config(cfg, "pretrain", "pretrain_")
-        stages.append(PipelineStage(preset=pre, train=pre_manifest,
-                                    val=pre_manifest, mode="init",
-                                    attention=False))
-        stages.append(PipelineStage(preset=preset, train=train_manifest,
-                                    val=val_manifest, mode="upgrade",
-                                    attention=True))
-    else:
-        mode = cfg["init_mode"] if init_checkpoint else "init"
-        if init_checkpoint:
-            _require_file(init_checkpoint, "checkpoint")
-        stages.append(PipelineStage(preset=preset, train=train_manifest,
-                                    val=val_manifest, mode=mode,
-                                    attention=attention))
-    model, logs = transfer_pipeline(spec, stages, args.out, seed,
-                                    init_checkpoint=init_checkpoint)
-    final = logs[-1].records[-1]
-    print(f"trained {len(stages)} stage(s); final train loss "
-          f"{final.train_loss!r}, artifacts under {args.out}")
+        train_and_save(spec, pre, pre_manifest, pre_manifest, seed, stem)
+        init_checkpoint, init_mode = f"{stem}.ckpt", "upgrade"
+        seed, stem = seed + 1, os.path.join(args.out, "stage1")
+    _, log = train_and_save(spec, preset, train_manifest, val_manifest, seed,
+                            stem, attention=attention,
+                            init_checkpoint=init_checkpoint, init_mode=init_mode)
+    print(f"trained {2 if two_stage else 1} stage(s); final train loss "
+          f"{log.records[-1].train_loss!r}, artifacts under {args.out}")
     return 0
 
 
@@ -306,29 +316,22 @@ def cmd_eval(args) -> int:
     seed = _check_seed(args.seed)
     spec = network_from_config(cfg)
     attention = _as_bool(cfg, "attention")
+    init_checkpoint, init_mode = _init_source(cfg)
     manifests = _load_manifests(args.manifest)
     manifest = manifests[0] if len(manifests) == 1 else merge_manifests(manifests)
 
     folds = _protocol_folds(args.protocol, manifest, cfg)
     preset = preset_from_config(cfg, args.protocol)
-    init_checkpoint = cfg["init_checkpoint"] or None
-    if init_checkpoint:
-        _require_file(init_checkpoint, "checkpoint")
 
-    fold_dir = os.path.join(args.out, "folds")
-    os.makedirs(fold_dir, exist_ok=True)
     fold_predictions = {}
     for k, fold in enumerate(folds):
-        fold_seed = seed + k
-        if init_checkpoint:
-            model = load_checkpoint(init_checkpoint, spec, mode=cfg["init_mode"])
-        else:
-            model = build_network(spec, fold_seed, attention=attention)
-        train = manifest.subset(fold.train)
         test = manifest.subset(fold.test)
-        model, log = run_stage(model, train, test, preset, fold_seed)
-        save_checkpoint(model, os.path.join(fold_dir, f"{fold.tag}.ckpt"))
-        log.save(os.path.join(fold_dir, f"{fold.tag}.log"))
+        model, _ = train_and_save(spec, preset, manifest.subset(fold.train),
+                                  test, seed + k,
+                                  os.path.join(args.out, "folds", fold.tag),
+                                  attention=attention,
+                                  init_checkpoint=init_checkpoint,
+                                  init_mode=init_mode)
         predicted = predict_classes(model, test)
         fold_predictions[fold.tag] = (predicted.tolist(),
                                       test.label_indices().tolist())
@@ -336,7 +339,6 @@ def cmd_eval(args) -> int:
         print(f"fold {fold.tag}: {correct}/{len(test)} correct")
 
     report = aggregate(folds, fold_predictions, manifest.class_names)
-    os.makedirs(args.out, exist_ok=True)
     write_atomic(os.path.join(args.out, "report.txt"),
                  render_report(report).encode())
     write_atomic(os.path.join(args.out, "report.json"),

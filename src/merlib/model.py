@@ -431,24 +431,28 @@ def load_checkpoint(path, expect_spec: NetworkSpec = None, mode: str = "exact") 
     plain (attention-free) checkpoint and returns an attention network whose
     attention weights are zero, which leaves the computed function untouched.
     With expect_spec=None the architecture check is skipped (exact mode only).
+    Errors about the file's contents name the file.
     """
     if mode not in ("exact", "upgrade"):
         raise ValidationError(f"load mode must be 'exact' or 'upgrade', got {mode!r}")
+    if mode == "upgrade" and expect_spec is None:
+        raise ValidationError("upgrade mode needs the target architecture")
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as e:
         raise CheckpointCorrupt(f"cannot read checkpoint {path}: {e}") from e
-    model = decode_checkpoint(blob)
-    if expect_spec is not None and model.spec != expect_spec:
-        raise CheckpointSpecMismatch(
-            f"checkpoint architecture {model.spec} differs from requested {expect_spec}")
-    if mode == "upgrade":
-        if expect_spec is None:
-            raise ValidationError("upgrade mode needs the target architecture")
-        if model.attention:
+    try:
+        model = decode_checkpoint(blob)
+        if expect_spec is not None and model.spec != expect_spec:
+            raise CheckpointSpecMismatch(
+                f"checkpoint architecture {model.spec} differs from requested {expect_spec}")
+        if mode == "upgrade" and model.attention:
             raise CheckpointSpecMismatch(
                 "upgrade expects a plain checkpoint, this one already has attention weights")
+    except ValidationError as e:
+        raise type(e)(f"{path}: {e}") from e
+    if mode == "upgrade":
         for bs, bp in zip(model.spec.blocks, model.blocks):
             bp.attn_w = tc.Tensor(
                 np.zeros((bs.concat_channels, bs.concat_channels, 1, 1)),

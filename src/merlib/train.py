@@ -1,6 +1,7 @@
-"""SGD with momentum, the step learning-rate schedule, single training
-stages, and the staged transfer pipeline (plain pretraining, zero-injected
-attention upgrade, fine-tuning).
+"""SGD with momentum, the step learning-rate schedule, and training stages:
+`run_stage` trains a model in place, `train_and_save` starts one (fresh, or
+from a checkpoint as is or with zero-injected attention), trains it and
+writes its checkpoint and log.
 
 Everything is deterministic from (seed, data, preset): epoch shuffles come
 from (seed, epoch) and each sample's augmentation generator from
@@ -17,7 +18,7 @@ import numpy as np
 from . import tensor as tc
 from .data import (AugmentConfig, Manifest, augment, crop_square,
                    load_sample_image, resample_balance)
-from .errors import ConfigError, ShapeError, TrainingError, ValidationError
+from .errors import ConfigError, ShapeError, TrainingError
 from .model import (Network, NetworkSpec, build_network, load_checkpoint,
                     save_checkpoint, write_atomic)
 
@@ -274,65 +275,26 @@ def run_stage(model: Network, train_manifest: Manifest, val_manifest,
     return model, log
 
 
-# ---------------------------------------------------------------------------
-# staged transfer
+def train_and_save(spec: NetworkSpec, preset: StagePreset, train: Manifest,
+                   val, seed: int, out_stem, attention: bool = False,
+                   init_checkpoint=None, init_mode: str = "exact") -> tuple:
+    """Start one stage, train it, and write out_stem.ckpt and out_stem.log;
+    returns (model, log).
 
-@dataclass(frozen=True)
-class PipelineStage:
-    """One stage of the transfer pipeline.
-
-    mode 'init' builds a fresh network (first stage only; `attention` picks
-    the variant); 'exact' continues from the previous stage's checkpoint;
-    'upgrade' loads a plain checkpoint and injects zero attention weights.
-    A stage without an explicit seed uses pipeline_seed + stage_index.
+    Without init_checkpoint the network is built fresh from `seed`
+    (`attention` picks the variant). Otherwise it is loaded with
+    `init_mode`: 'exact' continues from the stored weights, 'upgrade' loads
+    a plain checkpoint and injects zero attention weights. The paper's
+    transfer is two calls: a plain stage from a fresh start, then an
+    upgrade from that stage's checkpoint.
     """
-    preset: StagePreset
-    train: Manifest
-    val: Manifest = None
-    mode: str = "exact"
-    attention: bool = False
-    seed: int = None
-
-
-def transfer_pipeline(spec: NetworkSpec, stages, out_dir, seed: int,
-                      init_checkpoint=None) -> tuple:
-    """Run the stages in order, checkpointing each; returns (model, logs).
-
-    Stage i writes out_dir/stage{i}.ckpt and out_dir/stage{i}.log. The
-    first stage starts from a fresh init, from init_checkpoint, or (mode
-    'upgrade') from init_checkpoint with attention injected; later stages
-    chain off the previous stage's checkpoint.
-    """
-    stages = list(stages)
-    if not stages:
-        raise ConfigError("transfer pipeline needs at least one stage")
-    for i, st in enumerate(stages):
-        if st.mode not in ("init", "exact", "upgrade"):
-            raise ConfigError(f"stage {i}: unknown mode {st.mode!r}")
-        if st.mode == "init" and i > 0:
-            raise ConfigError(f"stage {i}: only the first stage may use mode 'init'")
-    if sum(1 for st in stages if st.mode == "upgrade") > 1:
-        raise ConfigError("the attention upgrade must happen at most once")
-
-    os.makedirs(out_dir, exist_ok=True)
-    model = None
-    logs = []
-    prev_path = init_checkpoint
-    for i, st in enumerate(stages):
-        stage_seed = int(seed) + i if st.seed is None else int(st.seed)
-        if st.mode == "init":
-            model = build_network(spec, stage_seed, attention=st.attention)
-        else:
-            if prev_path is None:
-                raise ConfigError(f"stage {i}: no checkpoint to continue from; "
-                                  f"use mode 'init' or pass init_checkpoint")
-            try:
-                model = load_checkpoint(prev_path, spec, mode=st.mode)
-            except ValidationError as e:
-                raise type(e)(f"stage {i} ({st.preset.name}): {e}") from e
-        model, log = run_stage(model, st.train, st.val, st.preset, stage_seed)
-        prev_path = os.path.join(out_dir, f"stage{i}.ckpt")
-        save_checkpoint(model, prev_path)
-        log.save(os.path.join(out_dir, f"stage{i}.log"))
-        logs.append(log)
-    return model, logs
+    out_stem = os.fspath(out_stem)
+    os.makedirs(os.path.dirname(out_stem) or ".", exist_ok=True)
+    if init_checkpoint is None:
+        model = build_network(spec, seed, attention=attention)
+    else:
+        model = load_checkpoint(init_checkpoint, spec, mode=init_mode)
+    model, log = run_stage(model, train, val, preset, seed)
+    save_checkpoint(model, f"{out_stem}.ckpt")
+    log.save(f"{out_stem}.log")
+    return model, log

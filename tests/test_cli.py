@@ -232,6 +232,32 @@ def test_train_two_stage_pipeline(micro_dir, tmp_path):
     assert len(rows1) == 1 and rows1[0].split("\t")[1] == "0.001"
 
 
+@pytest.mark.parametrize("verb, extra_cfg, flags", [
+    ("train", "pretrain_manifest = {manifest}\n",
+     ["--init-checkpoint", "absent.ckpt"]),
+    ("train", "", ["--init-mode", "upgrade"]),
+    ("eval", "", ["--init-mode", "upgrade"]),
+    ("train", "init_mode = bogus\n", []),
+    ("eval", "init_mode = bogus\n", []),
+], ids=["train-two-stage-with-checkpoint", "train-upgrade-without-checkpoint",
+        "eval-upgrade-without-checkpoint", "train-unknown-mode",
+        "eval-unknown-mode"])
+def test_contradictory_init_options_rejected_before_work(
+        micro_dir, tmp_path, capsys, verb, extra_cfg, flags):
+    manifest = str(micro_dir / "manifest.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("input_size = 8\nclasses = 3\n"
+                   + extra_cfg.format(manifest=manifest))
+    out = tmp_path / "run"
+    argv = [verb, "--manifest", manifest, "--config", str(cfg),
+            "--out", str(out), "--epochs", "1", "--batch-size", "4", *flags]
+    if verb == "eval":
+        argv += ["--protocol", "loso"]
+    assert main(argv) == 1
+    assert "init_" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_missing_manifest_exits_one(tmp_path):
     rc = main(["train", "--manifest", str(tmp_path / "nope.csv"),
                "--out", str(tmp_path)])
@@ -375,7 +401,8 @@ def test_visualize_plain_checkpoint_gives_zero_maps(micro_dir, tmp_path):
     assert (np.asarray(gray) == 0).all()
 
 
-def test_visualize_rejects_non_object_checkpoint_header(micro_dir, tmp_path):
+def test_visualize_rejects_non_object_checkpoint_header(micro_dir, tmp_path,
+                                                        capsys):
     blob = encode_checkpoint(build_network(NetworkSpec.stack((3, 8, 8), 1, 4, 3), seed=9))
     header_len = int.from_bytes(blob[12:16], "little")
     ckpt = tmp_path / "list.ckpt"
@@ -385,6 +412,7 @@ def test_visualize_rejects_non_object_checkpoint_header(micro_dir, tmp_path):
                "--image", str(micro_dir / "images" / "00000.ppm"),
                "--out", str(tmp_path / "viz")])
     assert rc == 1
+    assert f"error: {ckpt}: " in capsys.readouterr().err
 
 
 def test_visualize_rejects_undersized_image(micro_dir, tmp_path):

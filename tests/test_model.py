@@ -1,5 +1,7 @@
 """Blocks, attention maps, parameter accounting, and checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -371,7 +373,7 @@ class TestCheckpoints:
         blob = encode_checkpoint(self._model())
         path = tmp_path / "cut.ckpt"
         path.write_bytes(blob[:len(blob) // 2])
-        with pytest.raises(CheckpointCorrupt):
+        with pytest.raises(CheckpointCorrupt, match=f"^{re.escape(str(path))}: "):
             load_checkpoint(path, mode="exact")
 
     def test_bad_magic_is_corrupt(self, tmp_path):

@@ -1,9 +1,14 @@
 """Schedule, optimizer, training stages, and the transfer pipeline."""
 
+import pathlib
+import re
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from merlib import tensor as tc
 from merlib.data import synth_dataset
@@ -11,10 +16,10 @@ from merlib.errors import (CheckpointSpecMismatch, ConfigError, ShapeError,
                            TrainingError)
 from merlib.model import (NetworkSpec, build_network, load_checkpoint,
                           save_checkpoint)
-from merlib.train import (PRESETS, EpochRecord, OptimState, PipelineStage,
-                          Schedule, StagePreset, TrainLog, evaluate_accuracy,
-                          lr_at, predict_classes, prepare_input, run_stage,
-                          sgd_step, transfer_pipeline)
+from merlib.train import (PRESETS, EpochRecord, OptimState, Schedule,
+                          StagePreset, TrainLog, evaluate_accuracy, lr_at,
+                          predict_classes, prepare_input, run_stage, sgd_step,
+                          train_and_save)
 
 SPEC16 = NetworkSpec.stack((3, 16, 16), 2, 4, 2)
 
@@ -266,85 +271,108 @@ class TestRunStage:
 
 
 class TestTransferPipeline:
+    """The paper's transfer as train_and_save calls: a plain stage, then an
+    attention upgrade from that stage's checkpoint."""
+
     def _macro(self):
         return synth_dataset(2, 2, 3, image_size=16, seed=100, database_id="macro")
 
     def _micro(self):
         return synth_dataset(2, 2, 2, image_size=16, seed=200, database_id="micro")
 
-    def test_two_stage_upgrade_boundary_accuracy(self, tmp_path):
+    def _two_stages(self, out, seed, s0_epochs=2, val=None):
         macro, micro = self._macro(), self._micro()
-        stages = [
-            PipelineStage(preset=overfit_preset(epochs=3, batch_size=4),
-                          train=macro, mode="init", attention=False),
-            PipelineStage(preset=overfit_preset(epochs=2, batch_size=4),
-                          train=micro, val=macro, mode="upgrade"),
-        ]
-        model, logs = transfer_pipeline(SPEC16, stages, tmp_path, seed=5)
+        train_and_save(SPEC16, overfit_preset(epochs=s0_epochs, batch_size=4),
+                       macro, None, seed, out / "stage0")
+        return train_and_save(
+            SPEC16, overfit_preset(epochs=2, batch_size=4), micro, val,
+            seed + 1, out / "stage1", init_checkpoint=out / "stage0.ckpt",
+            init_mode="upgrade")
+
+    def test_two_stage_upgrade_boundary_accuracy(self, tmp_path):
+        macro = self._macro()
+        model, log1 = self._two_stages(tmp_path, seed=5, s0_epochs=3, val=macro)
         assert model.attention is True
-        stage1 = load_checkpoint(tmp_path / "stage0.ckpt", SPEC16)
-        assert stage1.attention is False
-        # zero-injected attention leaves stage-1 behavior untouched
-        assert logs[1].records[0].val_accuracy == evaluate_accuracy(stage1, macro)
-        assert (tmp_path / "stage1.ckpt").exists()
-        assert (tmp_path / "stage0.log").exists()
+        stage0 = load_checkpoint(tmp_path / "stage0.ckpt", SPEC16)
+        assert stage0.attention is False
+        # zero-injected attention leaves stage-0 behavior untouched
+        assert log1.records[0].val_accuracy == evaluate_accuracy(stage0, macro)
+        for name in ("stage0.log", "stage1.ckpt", "stage1.log"):
+            assert (tmp_path / name).exists(), name
 
     def test_single_stage_pipeline_equals_run_stage(self, tmp_path):
         micro = self._micro()
         preset = overfit_preset(epochs=2, batch_size=4)
-        stage = PipelineStage(preset=preset, train=micro, mode="init",
-                              attention=True)
-        piped, _ = transfer_pipeline(SPEC16, [stage], tmp_path, seed=9)
+        saved, _ = train_and_save(SPEC16, preset, micro, None, 9,
+                                  tmp_path / "stage0", attention=True)
         direct = build_network(SPEC16, seed=9, attention=True)
         direct, _ = run_stage(direct, micro, None, preset, seed=9)
-        for (name, a), b in zip(piped.parameters().items(),
+        for (name, a), b in zip(saved.parameters().items(),
                                 direct.parameters().values()):
             assert a.data.tobytes() == b.data.tobytes(), name
 
     def test_resume_from_saved_checkpoint_replays_exactly(self, tmp_path):
-        macro, micro = self._macro(), self._micro()
-        s0 = PipelineStage(preset=overfit_preset(epochs=2, batch_size=4),
-                           train=macro, mode="init")
-        s1 = PipelineStage(preset=overfit_preset(epochs=2, batch_size=4),
-                           train=micro, mode="upgrade")
-        full, _ = transfer_pipeline(SPEC16, [s0, s1], tmp_path / "full", seed=20)
-        # redo only stage 1, seeded the way the full pipeline seeded it
-        s1_again = PipelineStage(preset=s1.preset, train=micro, mode="upgrade",
-                                 seed=21)
-        resumed, _ = transfer_pipeline(
-            SPEC16, [s1_again], tmp_path / "resume", seed=999,
-            init_checkpoint=tmp_path / "full" / "stage0.ckpt")
+        full, _ = self._two_stages(tmp_path / "full", seed=20)
+        # redo only the upgrade stage, seeded the way the two-stage run seeded it
+        resumed, _ = train_and_save(
+            SPEC16, overfit_preset(epochs=2, batch_size=4), self._micro(), None,
+            21, tmp_path / "resume" / "stage1",
+            init_checkpoint=tmp_path / "full" / "stage0.ckpt", init_mode="upgrade")
         for (name, a), b in zip(full.parameters().items(),
                                 resumed.parameters().values()):
             assert a.data.tobytes() == b.data.tobytes(), name
+        for ext in (".ckpt", ".log"):
+            assert ((tmp_path / "full" / f"stage1{ext}").read_bytes()
+                    == (tmp_path / "resume" / f"stage1{ext}").read_bytes())
 
     def test_stage_errors_name_the_stage(self, tmp_path):
+        # a stage that cannot start names the checkpoint it tried to load
         other_spec = NetworkSpec.stack((3, 16, 16), 1, 6, 2)
-        model = build_network(other_spec, seed=0, attention=False)
         ckpt = tmp_path / "other.ckpt"
-        save_checkpoint(model, ckpt)
-        stage = PipelineStage(preset=overfit_preset(), train=self._micro(),
-                              mode="exact")
-        with pytest.raises(CheckpointSpecMismatch, match="stage 0"):
-            transfer_pipeline(SPEC16, [stage], tmp_path, seed=0,
-                              init_checkpoint=ckpt)
+        save_checkpoint(build_network(other_spec, seed=0, attention=False), ckpt)
+        with pytest.raises(CheckpointSpecMismatch, match=re.escape(str(ckpt))):
+            train_and_save(SPEC16, overfit_preset(), self._micro(), None, 0,
+                           tmp_path / "stage0", init_checkpoint=ckpt)
+        assert not (tmp_path / "stage0.ckpt").exists()
 
-    def test_pipeline_validation(self, tmp_path):
-        micro = self._micro()
-        preset = overfit_preset()
-        with pytest.raises(ConfigError):
-            transfer_pipeline(SPEC16, [], tmp_path, seed=0)
-        bad_init = [PipelineStage(preset=preset, train=micro, mode="exact"),
-                    PipelineStage(preset=preset, train=micro, mode="init")]
-        with pytest.raises(ConfigError, match="init"):
-            transfer_pipeline(SPEC16, bad_init, tmp_path, seed=0)
-        two_upgrades = [PipelineStage(preset=preset, train=micro, mode="upgrade"),
-                        PipelineStage(preset=preset, train=micro, mode="upgrade")]
-        with pytest.raises(ConfigError, match="once"):
-            transfer_pipeline(SPEC16, two_upgrades, tmp_path, seed=0)
-        no_source = [PipelineStage(preset=preset, train=micro, mode="exact")]
-        with pytest.raises(ConfigError, match="checkpoint"):
-            transfer_pipeline(SPEC16, no_source, tmp_path, seed=0)
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_reruns_are_byte_identical(self, data):
+        """Two runs of one stage into separate directories write the same
+        bytes, over random small networks (strides 1 and 2 where they
+        tile), attention on or off, augmentation on or off, 1-2 epochs, and
+        a fresh or an upgrade start."""
+        strides = data.draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=2))
+        size = data.draw(st.integers(2, 3))
+        for s in reversed(strides):
+            size = s * (size - 1) + 1
+        classes = data.draw(st.integers(2, 3))
+        spec = NetworkSpec.stack((3, size, size), len(strides),
+                                 data.draw(st.integers(1, 3)), classes,
+                                 strides=strides)
+        # images at least 8px; larger ones are center-cropped to the input
+        manifest = synth_dataset(classes, 1, 2, image_size=max(8, size),
+                                 seed=data.draw(st.integers(0, 99)))
+        preset = overfit_preset(
+            epochs=data.draw(st.integers(1, 2)),
+            batch_size=data.draw(st.integers(1, len(manifest))),
+            augment=data.draw(st.sampled_from([None, PRESETS["pretrain"].augment])))
+        attention = data.draw(st.booleans())
+        upgrade = data.draw(st.booleans())
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            start = {}
+            if upgrade:
+                start = {"init_checkpoint": tmp / "plain.ckpt", "init_mode": "upgrade"}
+                save_checkpoint(build_network(spec, seed, attention=False),
+                                start["init_checkpoint"])
+            for run in ("a", "b"):
+                train_and_save(spec, preset, manifest, manifest, seed,
+                               tmp / run / "stage0", attention=attention, **start)
+            for ext in (".ckpt", ".log"):
+                assert ((tmp / "a" / f"stage0{ext}").read_bytes()
+                        == (tmp / "b" / f"stage0{ext}").read_bytes()), ext
 
 
 class TestPredict:
