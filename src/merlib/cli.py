@@ -262,6 +262,10 @@ def cmd_train(args) -> int:
     spec = network_from_config(cfg)
     attention = _as_bool(cfg, "attention")
     two_stage = bool(cfg["pretrain_manifest"])
+    if two_stage and not attention:
+        raise ConfigError("attention = false cannot be combined with "
+                          "pretrain_manifest: the second stage upgrades the "
+                          "pretrained network to attention")
     init_checkpoint, init_mode = _init_source(cfg, two_stage)
     train_manifest = _load_manifests([args.manifest])[0]
     val_path = args.val_manifest or cfg["val_manifest"] or None
@@ -316,6 +320,9 @@ def cmd_eval(args) -> int:
     seed = _check_seed(args.seed)
     spec = network_from_config(cfg)
     attention = _as_bool(cfg, "attention")
+    if cfg["val_manifest"]:
+        raise ConfigError("val_manifest does not apply to eval: each fold "
+                          "validates on its own test set")
     init_checkpoint, init_mode = _init_source(cfg)
     manifests = _load_manifests(args.manifest)
     manifest = manifests[0] if len(manifests) == 1 else merge_manifests(manifests)

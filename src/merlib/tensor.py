@@ -6,12 +6,17 @@ relu, pooling, a linear head, softmax cross-entropy, and a
 finite-difference gradient checker. Forward execution is eager; when a
 tape is active each op appends itself, and backward replays the records
 in reverse order.
+
+Every convolution, forward and both gradients, is one GEMM per image: the
+kernel against a column block read from a sliding-window view of the
+zero-padded input (`_correlate`).
 """
 
 import math
 import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericalError, ShapeError, ValidationError
 
@@ -139,39 +144,37 @@ def _check_finite(arr, what: str):
 # ---------------------------------------------------------------------------
 # convolution
 
-def _correlate(x: np.ndarray, w: np.ndarray, ph: int, pw: int):
-    """Stride-1 cross-correlation of x [N,C,H,W] with w [O,C,kh,kw], zero-padded
-    by ph rows and pw columns on each side; a negative pad crops instead.
+def _correlate(x: np.ndarray, w: np.ndarray, ph: int, pw: int, stride: int = 1):
+    """Cross-correlation of x [N,C,H,W] with w [O,C,kh,kw] at the given
+    stride, zero-padded by ph rows and pw columns on each side; a negative
+    pad crops instead.
 
-    The padded input is stored with one slack row and its last two axes
-    flattened, row width Wp. Tap (i,j) then reads the contiguous view
-    flat[:, :, i*Wp+j : i*Wp+j+Oh*Wp] (a view, not a copy), and the output
-    sums W[:,:,i,j] @ view over the taps. Each output row comes out Wp wide;
-    its last Wp-Ow columns straddle the row end and are dropped. Returns
-    the [N,O,Oh,Ow] output and the tap views ([N,C,Oh*Wp], taps in
-    row-major order) for the weight gradient.
+    One GEMM per image: the padded input's kh x kw sliding windows, sampled
+    at [::stride, ::stride], are viewed as [N,C,kh,kw,Oh,Ow], and image i's
+    output is w [O,C*kh*kw] @ its column block [C*kh*kw,Oh*Ow]. The block
+    of a 1x1, stride-1, pad-0 conv is the image itself; any other block is
+    copied, one image at a time, so it stays small. Returns the [N,O,Oh,Ow]
+    output and the window view, from which the weight gradient takes the
+    same column blocks.
     """
     ch, cw = max(-ph, 0), max(-pw, 0)
     x = x[:, :, ch:x.shape[2] - ch, cw:x.shape[3] - cw]
     ph, pw = max(ph, 0), max(pw, 0)
     n, c, h, wd = x.shape
     cout, _, kh, kw = w.shape
-    hp, wp = h + 2 * ph, wd + 2 * pw
-    oh, ow = hp - kh + 1, wp - kw + 1
-    if ph == pw == 0 and kw == 1:
-        # The last tap's view ends at the input's end: no copy, no slack row.
-        flat = x.reshape(n, c, h * wd)
-    else:
-        buf = np.zeros((n, c, hp + 1, wp))
+    if ph or pw:
+        buf = np.zeros((n, c, h + 2 * ph, wd + 2 * pw))
         buf[:, :, ph:ph + h, pw:pw + wd] = x
-        flat = buf.reshape(n, c, (hp + 1) * wp)
-    views = [flat[:, :, i * wp + j:i * wp + j + oh * wp]
-             for i in range(kh) for j in range(kw)]
-    w_taps = w.reshape(cout, c, kh * kw)
-    out = np.matmul(w_taps[:, :, 0], views[0])
-    for k in range(1, len(views)):
-        out += np.matmul(w_taps[:, :, k], views[k])
-    return out.reshape(n, cout, oh, wp)[:, :, :, :ow], views
+    else:
+        buf = x
+    win = sliding_window_view(buf, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = win.transpose(0, 1, 4, 5, 2, 3)
+    oh, ow = win.shape[4:]
+    w2 = w.reshape(cout, c * kh * kw)
+    out = np.empty((n, cout, oh, ow))
+    for xi, oi in zip(win, out):
+        np.matmul(w2, xi.reshape(c * kh * kw, oh * ow), out=oi.reshape(cout, oh * ow))
+    return out, win
 
 
 def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tensor:
@@ -181,12 +184,12 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tenso
     spatial extent (H + 2*pad - kh) / stride + 1 must come out as an exact
     integer; fractional extents are rejected rather than truncated.
 
-    Every kernel, stride and pad runs through `_correlate`: the forward is
-    the stride-1 correlation sampled at [::stride, ::stride]. Backward
-    scatters the output gradient into zeros of the stride-1 shape; dx is
-    its stride-1 correlation with the flipped, transposed kernel, padded
-    by k-1-pad per axis (each input pixel sums the gradients of the
-    windows that cover it), and dw pairs it with the forward's tap views.
+    Every kernel, stride and pad runs through `_correlate`. Backward: dw
+    sums g[i] @ (column block of image i)^T over the images in order; dx
+    is the stride-1 correlation of g with the flipped, transposed kernel,
+    padded by k-1-pad per axis (each input pixel sums the gradients of the
+    windows that cover it). A strided conv first scatters g into zeros of
+    the stride-1 output shape.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be [N,C,H,W], got shape {x.shape}")
@@ -209,26 +212,32 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tenso
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},), got {b.shape}")
 
-    full, views = _correlate(x.data, w.data, pad, pad)
+    y, win = _correlate(x.data, w.data, pad, pad, stride)
     if b is not None:
-        full += b.data[:, None, None]
-    hf, wf = full.shape[2:]
-    out = Tensor(full[:, :, ::stride, ::stride])
+        y += b.data[:, None, None]
+    out = Tensor(y)
 
     def backward(g):
         if b is not None and _wants_grad(b):
             _accum(b, g.sum(axis=(0, 2, 3)))
-        # g at its stride-1 positions, in rows as wide as the tap views'.
-        gs = np.zeros((n, cout, hf, wd + 2 * pad))
-        gs[:, :, ::stride, :wf:stride] = g
         if _wants_grad(w):
-            g2 = gs.reshape(n, cout, -1)
-            gw = [np.matmul(g2, v.transpose(0, 2, 1)).sum(axis=0) for v in views]
-            _accum(w, np.stack(gw, axis=2).reshape(w.shape))
+            k, p = cin * kh * kw, g.shape[2] * g.shape[3]
+            gw = np.zeros((cout, k))
+            for gi, xi in zip(g, win):
+                gw += gi.reshape(cout, p) @ xi.reshape(k, p).T
+            _accum(w, gw.reshape(w.shape))
         if _wants_grad(x):
+            if stride > 1:
+                gs = np.zeros((n, cout, h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1))
+                gs[:, :, ::stride, ::stride] = g
+                g = gs
             wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            dx, _ = _correlate(gs[:, :, :, :wf], wt, kh - 1 - pad, kw - 1 - pad)
-            _accum(x, dx)
+            dx, _ = _correlate(g, wt, kh - 1 - pad, kw - 1 - pad)
+            # dx is a fresh array no other tensor holds, so x's earlier
+            # gradient is added into it instead of into a third buffer.
+            if x.grad is not None:
+                dx += x.grad
+            x.grad = dx
 
     inputs = [x, w] if b is None else [x, w, b]
     return _record(out, inputs, backward)

@@ -232,18 +232,22 @@ def test_train_two_stage_pipeline(micro_dir, tmp_path):
     assert len(rows1) == 1 and rows1[0].split("\t")[1] == "0.001"
 
 
-@pytest.mark.parametrize("verb, extra_cfg, flags", [
+@pytest.mark.parametrize("verb, extra_cfg, flags, named", [
     ("train", "pretrain_manifest = {manifest}\n",
-     ["--init-checkpoint", "absent.ckpt"]),
-    ("train", "", ["--init-mode", "upgrade"]),
-    ("eval", "", ["--init-mode", "upgrade"]),
-    ("train", "init_mode = bogus\n", []),
-    ("eval", "init_mode = bogus\n", []),
+     ["--init-checkpoint", "absent.ckpt"], "init_"),
+    ("train", "", ["--init-mode", "upgrade"], "init_"),
+    ("eval", "", ["--init-mode", "upgrade"], "init_"),
+    ("train", "init_mode = bogus\n", [], "init_"),
+    ("eval", "init_mode = bogus\n", [], "init_"),
+    ("train", "pretrain_manifest = {manifest}\nattention = false\n", [],
+     "attention"),
+    ("eval", "val_manifest = nope.csv\n", [], "val_manifest"),
 ], ids=["train-two-stage-with-checkpoint", "train-upgrade-without-checkpoint",
         "eval-upgrade-without-checkpoint", "train-unknown-mode",
-        "eval-unknown-mode"])
+        "eval-unknown-mode", "train-two-stage-without-attention",
+        "eval-with-val-manifest"])
 def test_contradictory_init_options_rejected_before_work(
-        micro_dir, tmp_path, capsys, verb, extra_cfg, flags):
+        micro_dir, tmp_path, capsys, verb, extra_cfg, flags, named):
     manifest = str(micro_dir / "manifest.csv")
     cfg = tmp_path / "run.cfg"
     cfg.write_text("input_size = 8\nclasses = 3\n"
@@ -254,7 +258,7 @@ def test_contradictory_init_options_rejected_before_work(
     if verb == "eval":
         argv += ["--protocol", "loso"]
     assert main(argv) == 1
-    assert "init_" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

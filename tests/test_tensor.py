@@ -132,11 +132,13 @@ class TestConv2d:
 class TestConv2dProperties:
     """conv2d forward and all three gradients against the loop oracles, over
     random shapes: every kernel, stride and pad runs through the one
-    shift-accumulate correlation, with per-axis pads for dx on non-square
-    kernels and a stride-1 scatter of the gradient when strided."""
+    per-image GEMM over sliding-window column blocks. Batches of up to four
+    images exercise the loop over images and the dw sum across them; dx
+    uses per-axis pads on non-square kernels, and a stride-1 scatter of the
+    gradient when strided."""
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-    @given(n=st.integers(1, 2), cin=st.integers(1, 3), cout=st.integers(1, 3),
+    @given(n=st.integers(1, 4), cin=st.integers(1, 3), cout=st.integers(1, 3),
            h=st.integers(1, 8), w=st.integers(1, 8), kh=st.integers(1, 3),
            kw=st.integers(1, 3), stride=st.integers(1, 3), pad=st.integers(0, 3),
            seed=st.integers(0, 2 ** 32 - 1))
@@ -164,6 +166,38 @@ class TestConv2dProperties:
         np.testing.assert_allclose(x.grad, want_dx, rtol=0, atol=1e-12)
         np.testing.assert_allclose(wt.grad, want_dw, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b.grad, want_db, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 4), cin=st.sampled_from([1, 3, 8]),
+           cout=st.integers(1, 3), k=st.sampled_from([1, 3]),
+           stride=st.sampled_from([1, 2]), pad=st.integers(0, 2),
+           oh=st.integers(1, 5), ow=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_batch_equals_stacked_samples_bit_for_bit(self, n, cin, cout, k, stride,
+                                                      pad, oh, ow, seed):
+        # The score workload checks batch predictions against batch-1
+        # readouts, so a sample's output and input gradient must not depend
+        # on the rest of its batch, not even in rounding.
+        h, wd = (oh - 1) * stride + k - 2 * pad, (ow - 1) * stride + k - 2 * pad
+        assume(h >= 1 and wd >= 1)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, cin, h, wd))
+        wt = tc.Tensor(rng.standard_normal((cout, cin, k, k)))
+        b = tc.Tensor(rng.standard_normal(cout))
+        g = rng.standard_normal((n, cout, oh, ow))
+
+        def run(xs, gs):
+            xt = tc.Tensor(xs, requires_grad=True)
+            with tc.Tape() as tape:
+                out = tc.conv2d(xt, wt, b, stride=stride, pad=pad)
+                loss = tc.tsum(tc.mul(out, tc.Tensor(gs)))
+            tape.backward(loss)
+            return out.data, xt.grad
+
+        out, dx = run(x, g)
+        singles = [run(x[i:i + 1], g[i:i + 1]) for i in range(n)]
+        assert out.tobytes() == np.concatenate([o for o, _ in singles]).tobytes()
+        assert dx.tobytes() == np.concatenate([d for _, d in singles]).tobytes()
 
 
 class TestChannelOps:
