@@ -19,7 +19,7 @@ from .data import (crop_square, load_manifest, merge_manifests,
                    save_manifest, synth_dataset)
 from .errors import ConfigError, ManifestError, ValidationError
 from .evaluation import (aggregate, folds_cde, folds_hde, folds_loso,
-                         render_report, report_to_json)
+                         nearest_resize, render_report, report_to_json)
 from .imageio import read_image, write_pgm, write_ppm
 from .model import (NetworkSpec, attention_readout, build_network,
                     load_checkpoint, parameter_grad_errors, write_atomic)
@@ -191,7 +191,7 @@ def _init_source(cfg, two_stage: bool = False) -> tuple:
 # ---------------------------------------------------------------------------
 # gradcheck
 
-def run_gradcheck(model, seed: int, eps: float = 1e-5) -> tuple:
+def run_gradcheck(model, seed: int) -> tuple:
     """Finite-difference check of every parameter on a random input batch.
 
     Returns (ok, errors). A model with no parameters passes vacuously.
@@ -202,7 +202,7 @@ def run_gradcheck(model, seed: int, eps: float = 1e-5) -> tuple:
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x6C)))
     x = tc.Tensor(rng.standard_normal((2, c, h, w)))
     labels = rng.integers(0, model.spec.num_classes, size=2)
-    errors = parameter_grad_errors(model, x, labels, eps=eps)
+    errors = parameter_grad_errors(model, x, labels)
     ok = all(v < GRADCHECK_THRESHOLD for v in errors.values())
     return ok, errors
 
@@ -365,12 +365,6 @@ def _normalize_map(arr: np.ndarray) -> np.ndarray:
     return np.rint((arr - lo) / (hi - lo) * 255.0).astype(np.uint8)
 
 
-def _nearest_upsample(arr: np.ndarray, height: int, width: int) -> np.ndarray:
-    rows = (np.arange(height) * arr.shape[0]) // height
-    cols = (np.arange(width) * arr.shape[1]) // width
-    return arr[rows][:, cols]
-
-
 def cmd_visualize(args) -> int:
     model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     image = read_image(_require_file(args.image, "image"))
@@ -384,7 +378,7 @@ def cmd_visualize(args) -> int:
                   _normalize_map(raw))
     # Overlay: last block's map, nearest-neighbor upsampled, at 50% opacity
     # on top of the (possibly center-cropped) network input.
-    gray = _nearest_upsample(_normalize_map(maps[-1]), h, w)
+    gray = nearest_resize(_normalize_map(maps[-1]), h, w)
     base = image if image.shape[:2] == (h, w) else crop_square(image, h, "center")
     overlay = np.rint(0.5 * base.astype(np.float64)
                       + 0.5 * gray[:, :, None].astype(np.float64)).astype(np.uint8)

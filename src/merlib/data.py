@@ -5,16 +5,18 @@ vocabulary is the manifest file's `label` column, in first-seen order, so
 any grouping of a database's emotion labels into classes happens when the
 manifest is written. The `apex` and `clip_len` columns are validated and
 carried along but select nothing: each row already names its frame. Samples
-carry either an image path (resolved at load time) or an in-memory uint8
-array; everything downstream treats the two the same way. All randomness
-comes in through explicit generators so that runs replay exactly.
+carry either an image path (resolved, and checked to exist, at load time)
+or an in-memory uint8 array; everything downstream treats the two the same
+way. Synthetic samples put their class signal in the quadrant that
+`class_roi_mask` describes. All randomness comes in through explicit
+generators so that runs replay exactly.
 """
 
 import csv
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,14 +36,12 @@ class Sample:
     label: str             # class label, one of the manifest's class_names
     apex_index: int = None
     clip_len: int = None
-    roi_mask: np.ndarray = None  # ground-truth signal region (synthetic data only)
 
 
 @dataclass
 class Manifest:
     samples: list
     class_names: list
-    notes: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.samples)
@@ -55,8 +55,7 @@ class Manifest:
                                 f"vocabulary {self.class_names}") from e
 
     def subset(self, indices) -> "Manifest":
-        return Manifest([self.samples[i] for i in indices],
-                        list(self.class_names), dict(self.notes))
+        return Manifest([self.samples[i] for i in indices], list(self.class_names))
 
     def subjects(self) -> list:
         return sorted({s.subject_id for s in self.samples})
@@ -75,12 +74,13 @@ def load_sample_image(sample: Sample) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # manifest files
 
-def load_manifest(path, validate_images: bool = False) -> Manifest:
+def load_manifest(path) -> Manifest:
     """Read a manifest CSV; relative image paths resolve against the CSV dir.
 
     Columns: image,subject,database,label,apex,clip_len. apex and clip_len
     may be blank. Duplicate rows, labels on unknown columns, bad integers,
-    and apex outside the clip are all rejected with the offending row named.
+    apex outside the clip and image files that do not exist are all
+    rejected with the offending row named.
     """
     base = os.path.dirname(os.path.abspath(path))
     try:
@@ -129,7 +129,7 @@ def load_manifest(path, validate_images: bool = False) -> Manifest:
             raise ManifestError(f"{path}:{lineno}: apex {apex_v} is outside the "
                                 f"clip of length {clip_v}")
         image_path = image if os.path.isabs(image) else os.path.join(base, image)
-        if validate_images and not os.path.isfile(image_path):
+        if not os.path.isfile(image_path):
             raise ManifestError(f"{path}:{lineno}: image file not found: {image_path}")
         if label not in class_names:
             class_names.append(label)
@@ -138,11 +138,11 @@ def load_manifest(path, validate_images: bool = False) -> Manifest:
                               apex_index=apex_v, clip_len=clip_v))
     if not samples:
         raise ManifestError(f"{path}: manifest has a header but no rows")
-    return Manifest(samples, class_names, notes={"source": os.path.abspath(path)})
+    return Manifest(samples, class_names)
 
 
-def save_manifest(manifest: Manifest, out_dir, name: str = "manifest.csv") -> str:
-    """Write a manifest CSV; in-memory images are saved under images/ first."""
+def save_manifest(manifest: Manifest, out_dir) -> str:
+    """Write out_dir/manifest.csv; in-memory images go to images/ first."""
     os.makedirs(out_dir, exist_ok=True)
     image_dir = os.path.join(out_dir, "images")
     rows = []
@@ -160,7 +160,7 @@ def save_manifest(manifest: Manifest, out_dir, name: str = "manifest.csv") -> st
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(MANIFEST_COLUMNS)
     writer.writerows(rows)
-    path = os.path.join(out_dir, name)
+    path = os.path.join(out_dir, "manifest.csv")
     write_atomic(path, text.getvalue().encode())
     return path
 
@@ -187,7 +187,7 @@ def resample_balance(manifest: Manifest) -> Manifest:
             continue
         for i in range(target - len(pool)):
             samples.append(pool[i % len(pool)])
-    return Manifest(samples, list(manifest.class_names), dict(manifest.notes))
+    return Manifest(samples, list(manifest.class_names))
 
 
 def merge_manifests(manifests) -> Manifest:
@@ -200,7 +200,7 @@ def merge_manifests(manifests) -> Manifest:
         if m.class_names != names:
             raise ManifestError(f"class vocabularies differ: {names} vs {m.class_names}")
     samples = [s for m in manifests for s in m.samples]
-    return Manifest(samples, list(names), {})
+    return Manifest(samples, list(names))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def merge_manifests(manifests) -> Manifest:
 class AugmentConfig:
     """Which augmentations run and how strong they are.
 
-    Each enabled augmentation fires independently with `probability`.
+    Each enabled augmentation fires independently with probability 0.5.
     A zero maximum disables the corresponding augmentation. crop is a
     (source, target) pair: inputs must be at least source pixels on each
     side and the output is always exactly target x target (a center crop
@@ -220,7 +220,6 @@ class AugmentConfig:
     rotation_max_deg: float = 0.0
     smooth_window_max: int = 0
     crop: tuple = None
-    probability: float = 0.5
 
     def __post_init__(self):
         if not all(math.isfinite(v) and v >= 0
@@ -229,8 +228,6 @@ class AugmentConfig:
         if self.smooth_window_max != 0 and not 2 <= self.smooth_window_max:
             raise ConfigError(f"smooth_window_max must be 0 or >= 2, "
                               f"got {self.smooth_window_max}")
-        if not 0.0 <= self.probability <= 1.0:
-            raise ConfigError(f"probability must lie in [0,1], got {self.probability}")
         if self.crop is not None:
             src, dst = self.crop
             if dst < 1 or src < dst:
@@ -319,37 +316,35 @@ def augment(image: np.ndarray, cfg: AugmentConfig, rng) -> np.ndarray:
     """Apply the configured augmentations in a fixed order.
 
     Order: color shift, rotation, smoothing, crop. Each enabled step draws
-    one uniform sample to decide whether it fires, then (only if it fires)
-    draws its parameters, so the stream of random draws is reproducible
-    from the generator alone. The output size is the crop target when
-    cropping is configured, otherwise the input size.
+    one uniform sample to decide whether it fires (with probability 0.5),
+    then (only if it fires) draws its parameters, so the stream of random
+    draws is reproducible from the generator alone. The output size is the
+    crop target when cropping is configured, otherwise the input size.
     """
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
         raise ValidationError(f"augment needs uint8 [H,W,3], got "
                               f"{image.dtype} {image.shape}")
-    if cfg.color_shift_max > 0:
-        if rng.random() < cfg.probability:
-            deltas = rng.integers(-cfg.color_shift_max, cfg.color_shift_max + 1, size=3)
-            image = shift_colors(image, deltas)
-    if cfg.rotation_max_deg > 0:
-        if rng.random() < cfg.probability:
-            degrees = rng.uniform(-cfg.rotation_max_deg, cfg.rotation_max_deg)
-            image = rotate_image(image, degrees)
-    if cfg.smooth_window_max >= 2:
-        if rng.random() < cfg.probability:
-            window = int(rng.integers(2, cfg.smooth_window_max + 1))
-            image = box_smooth(image, window)
+
+    def fires():
+        return rng.random() < 0.5
+
+    if cfg.color_shift_max > 0 and fires():
+        deltas = rng.integers(-cfg.color_shift_max, cfg.color_shift_max + 1, size=3)
+        image = shift_colors(image, deltas)
+    if cfg.rotation_max_deg > 0 and fires():
+        degrees = rng.uniform(-cfg.rotation_max_deg, cfg.rotation_max_deg)
+        image = rotate_image(image, degrees)
+    if cfg.smooth_window_max >= 2 and fires():
+        window = int(rng.integers(2, cfg.smooth_window_max + 1))
+        image = box_smooth(image, window)
     if cfg.crop is not None:
         source, target = cfg.crop
         h, w = image.shape[:2]
         if h < source or w < source:
             raise ValidationError(f"crop expects at least {source}x{source} "
                                   f"input, got {h}x{w}")
-        if rng.random() < cfg.probability:
-            corner = _CORNERS[int(rng.integers(0, 4))]
-        else:
-            corner = "center"
+        corner = _CORNERS[int(rng.integers(0, 4))] if fires() else "center"
         image = crop_square(image, target, corner)
     return image
 
@@ -395,7 +390,7 @@ def synth_dataset(n_classes: int, n_subjects: int, per_class: int,
     low-frequency texture and brightness, plus per-sample pixel noise.
     per_class counts samples per class per subject, so the total is
     n_classes * n_subjects * per_class and classes are exactly balanced.
-    Every sample carries the ground-truth quadrant mask of its class.
+    `class_roi_mask` gives the ground-truth quadrant of each class.
     """
     if n_classes < 2 or n_subjects < 1 or per_class < 1:
         raise ConfigError("need n_classes >= 2, n_subjects >= 1, per_class >= 1")
@@ -404,7 +399,6 @@ def synth_dataset(n_classes: int, n_subjects: int, per_class: int,
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x5D)))
     size = int(image_size)
     patterns = [_class_pattern(c, n_classes, size) for c in range(n_classes)]
-    masks = [class_roi_mask(c, size, size) for c in range(n_classes)]
     base_weights = np.array([1.0, 0.65, 0.35])
     class_names = [f"class{c}" for c in range(n_classes)]
     yy, xx = np.meshgrid(np.arange(size, dtype=np.float64),
@@ -429,6 +423,5 @@ def synth_dataset(n_classes: int, n_subjects: int, per_class: int,
                 subject_id=f"s{si:02d}",
                 database_id=database_id,
                 raw_label=class_names[c],
-                label=class_names[c],
-                roi_mask=masks[c]))
-    return Manifest(samples, class_names, notes={"generator_seed": int(seed)})
+                label=class_names[c]))
+    return Manifest(samples, class_names)

@@ -162,6 +162,15 @@ def macro_f1(cm: ConfusionMatrix) -> float:
     return float(np.mean([m["f1"] for m in metrics]))
 
 
+def nearest_resize(arr: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Nearest-neighbour resample of the first two axes to height x width:
+    output row i reads source row (i * rows) // height, and likewise for
+    columns."""
+    rows = (np.arange(height) * arr.shape[0]) // height
+    cols = (np.arange(width) * arr.shape[1]) // width
+    return arr[rows][:, cols]
+
+
 def localization_score(attn_map, mask) -> float:
     """Mean |map| inside the mask region divided by mean |map| outside.
 
@@ -173,9 +182,7 @@ def localization_score(attn_map, mask) -> float:
         raise ValidationError(f"attention map must be 2-D, got {arr.ndim}-D")
     m = np.asarray(mask, dtype=bool)
     if m.shape != arr.shape:
-        rows = (np.arange(arr.shape[0]) * m.shape[0]) // arr.shape[0]
-        cols = (np.arange(arr.shape[1]) * m.shape[1]) // arr.shape[1]
-        m = m[rows][:, cols]
+        m = nearest_resize(m, *arr.shape)
     if not m.any() or m.all():
         raise ValidationError("mask must have both inside and outside regions")
     inside = float(arr[m].mean())

@@ -160,7 +160,7 @@ def block_forward(x: tc.Tensor, p: BlockParams, stride: int = 1) -> tc.Tensor:
     return out
 
 
-Readout = namedtuple("Readout", ["logits", "maps", "feature"])
+Readout = namedtuple("Readout", ["logits", "maps"])
 
 
 class Network:
@@ -197,10 +197,10 @@ class Network:
             if want_maps:
                 maps.append(m)
         logits = tc.linear(tc.global_avg_pool(h), self.head_w, self.head_b)
-        return logits, maps, h
+        return logits, maps
 
     def forward(self, x: tc.Tensor) -> tc.Tensor:
-        logits, _, _ = self._run(x, want_maps=False)
+        logits, _ = self._run(x, want_maps=False)
         return logits
 
     def parameters(self) -> dict:
@@ -227,12 +227,19 @@ class Network:
 def attention_readout(model: Network, x: tc.Tensor) -> Readout:
     """Forward pass that also returns per-block attention maps.
 
-    Plain blocks contribute identically-zero maps. The logits come from the
-    same pass, so they match `model.forward` exactly. `feature` is the last
-    block's output activation (the input itself for an empty stack).
+    `maps` holds one [N,1,H,W] map per block, at that block's output
+    resolution; plain blocks contribute identically-zero maps. The logits
+    come from the same pass, so they match `model.forward` exactly.
     """
-    logits, maps, feature = model._run(x, want_maps=True)
-    return Readout(logits=logits, maps=maps, feature=feature)
+    return Readout(*model._run(x, want_maps=True))
+
+
+def _zero_attention_weight(bs: BlockSpec) -> tc.Tensor:
+    """The [C,C,1,1] zero embedding, C = bs.concat_channels, that makes a
+    block's gate exactly 1.0: fresh attention networks and upgraded plain
+    checkpoints both start from it, so the two compute the plain function."""
+    c = bs.concat_channels
+    return tc.Tensor(np.zeros((c, c, 1, 1)), requires_grad=True)
 
 
 def build_network(spec: NetworkSpec, seed: int, attention: bool = True) -> Network:
@@ -262,8 +269,7 @@ def build_network(spec: NetworkSpec, seed: int, attention: bool = True) -> Netwo
             mid_b=zeros(bs.mid_channels),
             wide_w=conv_weight(bs.wide_channels, bs.mid_channels, 3),
             wide_b=zeros(bs.wide_channels),
-            attn_w=(zeros(bs.concat_channels, bs.concat_channels, 1, 1)
-                    if attention else None),
+            attn_w=_zero_attention_weight(bs) if attention else None,
         ))
     d = spec.feature_channels
     lim = math.sqrt(6.0 / d)
@@ -454,9 +460,7 @@ def load_checkpoint(path, expect_spec: NetworkSpec = None, mode: str = "exact") 
         raise type(e)(f"{path}: {e}") from e
     if mode == "upgrade":
         for bs, bp in zip(model.spec.blocks, model.blocks):
-            bp.attn_w = tc.Tensor(
-                np.zeros((bs.concat_channels, bs.concat_channels, 1, 1)),
-                requires_grad=True)
+            bp.attn_w = _zero_attention_weight(bs)
         model.attention = True
     return model
 

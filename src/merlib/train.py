@@ -27,7 +27,6 @@ from .model import (Network, NetworkSpec, build_network, load_checkpoint,
 class Schedule:
     lr0: float
     step_epochs: int
-    factor: float = 0.1
 
     def __post_init__(self):
         if not math.isfinite(self.lr0) or self.lr0 <= 0:
@@ -35,22 +34,19 @@ class Schedule:
         if not isinstance(self.step_epochs, int) or self.step_epochs < 1:
             raise ConfigError(f"step_epochs must be a positive integer, "
                               f"got {self.step_epochs!r}")
-        if not 0.0 < self.factor < 1.0:
-            raise ConfigError(f"factor must lie in (0,1), got {self.factor}")
 
 
 def lr_at(schedule: Schedule, epoch: int) -> float:
-    """lr0 * factor^floor(epoch / step_epochs); the drop lands ON the boundary."""
+    """lr0 * 0.1^floor(epoch / step_epochs); the drop lands ON the boundary."""
     if epoch < 0:
         raise ConfigError(f"epoch must be >= 0, got {epoch}")
-    return schedule.lr0 * schedule.factor ** (epoch // schedule.step_epochs)
+    return schedule.lr0 * 0.1 ** (epoch // schedule.step_epochs)
 
 
 @dataclass(frozen=True)
 class StagePreset:
     """One training stage's hyperparameters; epochs is a desk-scale default
     meant to be overridden for real runs."""
-    name: str
     batch_size: int
     lr0: float
     weight_decay: float
@@ -79,22 +75,22 @@ class StagePreset:
 PRESETS = {
     # macro-expression pre-training: large batches, the three photometric
     # augmentations, no decay
-    "pretrain": StagePreset("pretrain", batch_size=50, lr0=0.01, weight_decay=0.0,
+    "pretrain": StagePreset(batch_size=50, lr0=0.01, weight_decay=0.0,
                             step_epochs=20,
                             augment=AugmentConfig(color_shift_max=20,
                                                   rotation_max_deg=10.0,
                                                   smooth_window_max=6)),
     # holdout-database fine-tuning
-    "hde": StagePreset("hde", batch_size=10, lr0=1e-4, weight_decay=3e-2,
+    "hde": StagePreset(batch_size=10, lr0=1e-4, weight_decay=3e-2,
                        step_epochs=10, resample=True,
                        augment=AugmentConfig(color_shift_max=20,
                                              rotation_max_deg=8.0)),
     # composite-database fine-tuning: corner crops of 240px masters
-    "cde": StagePreset("cde", batch_size=8, lr0=1e-3, weight_decay=5e-6,
+    "cde": StagePreset(batch_size=8, lr0=1e-3, weight_decay=5e-6,
                        step_epochs=10, resample=True,
                        augment=AugmentConfig(crop=(240, 224))),
     # single-database leave-one-subject-out fine-tuning
-    "loso": StagePreset("loso", batch_size=10, lr0=1e-3, weight_decay=5e-4,
+    "loso": StagePreset(batch_size=10, lr0=1e-3, weight_decay=5e-4,
                         step_epochs=10, resample=True,
                         augment=AugmentConfig(color_shift_max=20,
                                               rotation_max_deg=8.0)),
@@ -168,12 +164,13 @@ def _batch_array(manifest: Manifest, indices, input_shape,
     return np.stack(rows)
 
 
-def predict_classes(model: Network, manifest: Manifest, batch_size: int = 64) -> np.ndarray:
-    """Argmax class indices in manifest order; no augmentation, no tape."""
+def predict_classes(model: Network, manifest: Manifest) -> np.ndarray:
+    """Argmax class indices in manifest order, 64 samples a batch; no
+    augmentation, no tape."""
     n = len(manifest)
     out = np.empty(n, dtype=np.int64)
-    for start in range(0, n, batch_size):
-        idx = range(start, min(start + batch_size, n))
+    for start in range(0, n, 64):
+        idx = range(start, min(start + 64, n))
         x = _batch_array(manifest, idx, model.spec.input_shape)
         logits = model.forward(tc.Tensor(x))
         out[start:start + len(logits.data)] = np.argmax(logits.data, axis=1)

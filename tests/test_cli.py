@@ -4,13 +4,15 @@ Everything runs in-process through main(argv) on desk-scale synthetic data,
 so the suite stays fast while still exercising the real command paths.
 """
 
+import argparse
 import os
 
 import numpy as np
 import pytest
 
 import merlib.tensor as tc
-from merlib.cli import gradcheck_table, load_config, main, run_gradcheck
+from merlib.cli import (_DEFAULTS, build_parser, gradcheck_table,
+                        load_config, main, run_gradcheck)
 from merlib.data import load_manifest
 from merlib.errors import ConfigError
 from merlib.imageio import read_image, write_ppm
@@ -262,6 +264,28 @@ def test_contradictory_init_options_rejected_before_work(
     assert not out.exists()
 
 
+def test_manifest_naming_missing_image_rejected_before_work(micro_dir, tmp_path,
+                                                           capsys):
+    # A two-stage run whose --manifest names one image that does not exist:
+    # the manifest load fails before stage 0 trains, so nothing is written.
+    pretrain = micro_dir / "manifest.csv"
+    header, *rows = pretrain.read_text().splitlines()
+    rows = [f"{micro_dir}/{row}" for row in rows]  # image paths made absolute
+    missing = str(tmp_path / "gone.ppm")
+    rows[3] = f"{missing},{rows[3].split(',', 1)[1]}"
+    broken = tmp_path / "broken.csv"
+    broken.write_text("\n".join([header, *rows]) + "\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"input_size = 8\nclasses = 3\npretrain_manifest = {pretrain}\n"
+                   f"pretrain_epochs = 1\npretrain_batch_size = 6\n")
+    out = tmp_path / "run"
+    rc = main(["train", "--manifest", str(broken), "--config", str(cfg),
+               "--out", str(out), "--epochs", "1", "--batch-size", "4"])
+    assert rc == 1
+    assert missing in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_missing_manifest_exits_one(tmp_path):
     rc = main(["train", "--manifest", str(tmp_path / "nope.csv"),
                "--out", str(tmp_path)])
@@ -451,6 +475,32 @@ def test_visualize_crops_oversized_image(tmp_path):
 def test_unknown_verb_exits_one(capsys):
     assert main(["transmogrify"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_surface_is_pinned():
+    # Every config key and every verb's option strings. A change to a flag
+    # or key must show up here as a test diff.
+    assert sorted(_DEFAULTS) == [
+        "attention", "augment", "batch_size", "blocks", "channels", "classes",
+        "epochs", "hde_databases", "init_checkpoint", "init_mode",
+        "input_size", "lr0", "momentum", "preset", "pretrain_batch_size",
+        "pretrain_epochs", "pretrain_lr0", "pretrain_manifest", "step_epochs",
+        "strides", "val_manifest", "weight_decay", "width"]
+    common = ["-h", "--help", "--config", "--seed", "--out"]
+    stage = ["--preset", "--epochs", "--lr0", "--batch-size",
+             "--init-checkpoint", "--init-mode"]
+    verbs = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    options = {verb: [o for a in p._actions for o in a.option_strings]
+               for verb, p in verbs.items()}
+    assert options == {
+        "gradcheck": common,
+        "synth": common + ["--classes", "--subjects", "--per-class", "--size",
+                           "--database"],
+        "train": common + ["--manifest", "--val-manifest", *stage],
+        "eval": common + ["--protocol", "--manifest", *stage],
+        "visualize": common + ["--checkpoint", "--image"],
+    }
 
 
 def test_negative_seed_exits_one(micro_dir, tmp_path):

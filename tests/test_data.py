@@ -35,6 +35,10 @@ def make_samples(counts: dict, subject="s1", database="db"):
 
 class TestManifestFile:
     def _write(self, tmp_path, rows, header="image,subject,database,label,apex,clip_len"):
+        """Write the CSV and a tiny PPM for the image each row names."""
+        for row in rows:
+            imageio.write_ppm(str(tmp_path / row.split(",")[0]),
+                              np.zeros((2, 2, 3), dtype=np.uint8))
         path = tmp_path / "manifest.csv"
         path.write_text("\n".join([header] + rows) + "\n")
         return path
@@ -81,19 +85,37 @@ class TestManifestFile:
             load_manifest(path)
 
     def test_image_validation_flags_missing_files(self, tmp_path):
-        path = self._write(tmp_path, ["gone.ppm,s1,db,happiness,,"])
-        with pytest.raises(ManifestError, match="gone.ppm"):
-            load_manifest(path, validate_images=True)
+        path = self._write(tmp_path, ["here.ppm,s1,db,happiness,,",
+                                      "gone.ppm,s1,db,anger,,"])
+        (tmp_path / "gone.ppm").unlink()
+        with pytest.raises(ManifestError, match=r":3: .*gone\.ppm"):
+            load_manifest(path)
 
     def test_save_load_roundtrip(self, tmp_path):
         m = synth_dataset(3, 2, 2, image_size=16, seed=5)
         save_manifest(m, tmp_path / "out")
-        back = load_manifest(tmp_path / "out" / "manifest.csv", validate_images=True)
+        back = load_manifest(tmp_path / "out" / "manifest.csv")
         assert len(back) == len(m)
         assert back.class_names == m.class_names
         assert [s.subject_id for s in back.samples] == [s.subject_id for s in m.samples]
         for orig, loaded in zip(m.samples, back.samples):
             assert np.array_equal(load_sample_image(loaded), orig.image)
+
+
+class FixedDraw:
+    """Generator stand-in: random() always returns `value`, so with
+    value 0.0 every enabled augmentation fires and with 0.99 none does;
+    every other draw goes to a real generator."""
+
+    def __init__(self, value, seed=0):
+        self.value = value
+        self.rng = np.random.default_rng(seed)
+
+    def random(self):
+        return self.value
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 class TestAugment:
@@ -104,8 +126,8 @@ class TestAugment:
     def test_all_draws_missing_leaves_image_untouched(self):
         img = self._image()
         cfg = AugmentConfig(color_shift_max=20, rotation_max_deg=10,
-                            smooth_window_max=6, probability=0.0)
-        out = augment(img, cfg, np.random.default_rng(0))
+                            smooth_window_max=6)
+        out = augment(img, cfg, FixedDraw(0.99))
         assert out.tobytes() == img.tobytes()
 
     def test_zero_rotation_is_identity(self):
@@ -140,17 +162,17 @@ class TestAugment:
 
     def test_crop_always_emits_target_size(self):
         img = self._image(5, size=12)
-        cfg = AugmentConfig(crop=(12, 8), probability=0.0)
+        cfg = AugmentConfig(crop=(12, 8))
         # the corner draw misses, the output is still 8x8 (center crop)
-        out = augment(img, cfg, np.random.default_rng(1))
+        out = augment(img, cfg, FixedDraw(0.99, seed=1))
         assert out.shape == (8, 8, 3)
         assert np.array_equal(out, img[2:10, 2:10])
 
     def test_crop_rejects_small_images(self):
         img = self._image(6, size=10)
-        cfg = AugmentConfig(crop=(12, 8), probability=1.0)
+        cfg = AugmentConfig(crop=(12, 8))
         with pytest.raises(ValidationError):
-            augment(img, cfg, np.random.default_rng(0))
+            augment(img, cfg, FixedDraw(0.0))
 
     def test_same_seed_same_output(self):
         img = self._image(7, size=20)
@@ -164,16 +186,14 @@ class TestAugment:
     def test_dimensions_preserved_without_crop(self):
         img = self._image(8, size=18)
         cfg = AugmentConfig(color_shift_max=20, rotation_max_deg=10,
-                            smooth_window_max=6, probability=1.0)
-        assert augment(img, cfg, np.random.default_rng(2)).shape == img.shape
+                            smooth_window_max=6)
+        assert augment(img, cfg, FixedDraw(0.0, seed=2)).shape == img.shape
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             AugmentConfig(color_shift_max=-1)
         with pytest.raises(ConfigError):
             AugmentConfig(smooth_window_max=1)
-        with pytest.raises(ConfigError):
-            AugmentConfig(probability=1.5)
         with pytest.raises(ConfigError):
             AugmentConfig(crop=(10, 12))
         for bad in (float("nan"), float("inf")):
@@ -225,7 +245,6 @@ class TestSynthDataset:
         for s in m.samples[:5]:
             assert s.image.shape == (16, 16, 3)
             assert s.image.dtype == np.uint8
-            assert s.roi_mask.shape == (16, 16)
 
     def test_same_seed_is_bit_identical(self):
         a = synth_dataset(3, 2, 2, image_size=16, seed=9)

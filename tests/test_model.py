@@ -262,7 +262,6 @@ class TestNetwork:
         assert ro.logits.data.tobytes() == model.forward(x).data.tobytes()
         assert len(ro.maps) == 3
         assert all(m.shape == (2, 1, 8, 8) for m in ro.maps)
-        assert ro.feature.shape == (2, 4, 8, 8)
 
     def test_readout_on_plain_network_gives_zero_maps(self):
         spec = NetworkSpec.stack((3, 8, 8), 2, 4, 5)
@@ -276,7 +275,7 @@ class TestNetwork:
         model = build_network(spec, seed=1)
         x = tc.Tensor(np.zeros((1, 3, 9, 9)))
         ro = attention_readout(model, x)
-        assert ro.feature.shape == (1, 4, 5, 5)
+        assert ro.maps[0].shape == (1, 1, 5, 5)
 
 
 class TestParamCount:
