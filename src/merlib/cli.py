@@ -9,7 +9,9 @@ precedence. Exit codes are a stable contract: 0 success, 1 validation error,
 
 import argparse
 import os
+import signal
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -314,6 +316,84 @@ def _protocol_folds(protocol, manifest, cfg):
     raise ConfigError(f"unknown protocol {protocol!r}")
 
 
+def _fold_worker(run_fold, k, writer):
+    """Body of fold k's worker process: sends (run_fold(k), wall seconds),
+    or the exception it raised, and prints nothing."""
+    # Ctrl-C reaches the whole process group; the parent alone handles it
+    # and stops the workers with SIGTERM, which unwinds a worker like an
+    # exit, so a write in progress removes its temporary file.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    t0 = time.perf_counter()
+    try:
+        outcome = (run_fold(k), time.perf_counter() - t0)
+    except Exception as e:
+        outcome = e
+    writer.send(outcome)
+
+
+def _run_folds(folds, run_fold, report):
+    """Run run_fold(k) for every fold in forked worker processes, at most one
+    per available CPU at a time, and call report(k, result, seconds) in fold
+    order as the results arrive.
+
+    A failed fold keeps the folds after it from starting. Once the running
+    workers have ended, the first failure in fold order is raised, so the
+    folds reported, the exception and the exit code are a serial run's. A
+    worker that ends without a result is a RuntimeError naming its fold.
+    Workers still running when this returns or raises (Ctrl-C, SIGTERM) are
+    terminated and joined. Fork, not spawn or forkserver: it starts no
+    helper process that could outlive the call, and run_fold needs no
+    pickling.
+    """
+    # Imported here, not at the top: the modules take about 1 MB that no
+    # other verb, and no library caller of merlib.cli, needs.
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    fork = multiprocessing.get_context("fork")
+    width = min(len(os.sched_getaffinity(0)), len(folds))
+    live, done = {}, {}  # fold index -> (process, reader); -> outcome
+    end = len(folds)     # folds from the first failure on never start
+    started = reported = 0
+    try:
+        while live or started < end:
+            while started < end and len(live) < width:
+                reader, writer = fork.Pipe(duplex=False)
+                proc = fork.Process(target=_fold_worker,
+                                    args=(run_fold, started, writer))
+                proc.start()
+                live[started] = (proc, reader)
+                writer.close()  # so a dead worker reads as EOF, not a hang
+                started += 1
+            ready = wait([reader for _, reader in live.values()])
+            for k in [k for k, (_, reader) in live.items() if reader in ready]:
+                proc, reader = live.pop(k)
+                try:
+                    done[k] = reader.recv()
+                except EOFError:
+                    done[k] = None
+                reader.close()
+                proc.join()
+                if done[k] is None:
+                    done[k] = RuntimeError(
+                        f"fold {folds[k].tag}: worker exited with code "
+                        f"{proc.exitcode} before sending a result")
+                if isinstance(done[k], Exception):
+                    end = min(end, k)
+            while reported < end and reported in done:
+                report(reported, *done.pop(reported))
+                reported += 1
+    finally:
+        for proc, _ in live.values():
+            proc.terminate()
+        for proc, reader in live.values():
+            proc.join()
+            reader.close()
+    if end < len(folds):
+        raise done[end]
+
+
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     _apply_flag_overrides(cfg, args)
@@ -330,8 +410,8 @@ def cmd_eval(args) -> int:
     folds = _protocol_folds(args.protocol, manifest, cfg)
     preset = preset_from_config(cfg, args.protocol)
 
-    fold_predictions = {}
-    for k, fold in enumerate(folds):
+    def run_fold(k):
+        fold = folds[k]
         test = manifest.subset(fold.test)
         model, _ = train_and_save(spec, preset, manifest.subset(fold.train),
                                   test, seed + k,
@@ -339,12 +419,19 @@ def cmd_eval(args) -> int:
                                   attention=attention,
                                   init_checkpoint=init_checkpoint,
                                   init_mode=init_mode)
-        predicted = predict_classes(model, test)
-        fold_predictions[fold.tag] = (predicted.tolist(),
-                                      test.label_indices().tolist())
-        correct = int((predicted == test.label_indices()).sum())
-        print(f"fold {fold.tag}: {correct}/{len(test)} correct")
+        return predict_classes(model, test)
 
+    fold_predictions = {}
+
+    def report_fold(k, predicted, seconds):
+        fold = folds[k]
+        actual = manifest.subset(fold.test).label_indices()
+        fold_predictions[fold.tag] = (predicted.tolist(), actual.tolist())
+        correct = int((predicted == actual).sum())
+        print(f"fold {fold.tag}: {correct}/{len(actual)} correct "
+              f"({seconds:.2f} s)")
+
+    _run_folds(folds, run_fold, report_fold)
     report = aggregate(folds, fold_predictions, manifest.class_names)
     write_atomic(os.path.join(args.out, "report.txt"),
                  render_report(report).encode())

@@ -1,8 +1,23 @@
 """Shared fixtures."""
 
+import os
+
 import pytest
 
 from merlib import model as model_module
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_the_test():
+    """Fail every test after which this process still has a child, running
+    or a zombie: `merlib eval` must end every fold worker it forks."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process outlived the test "
+                f"({'still running' if pid == 0 else f'zombie pid {pid}'})")
 
 
 @pytest.fixture

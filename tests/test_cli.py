@@ -6,18 +6,26 @@ so the suite stays fast while still exercising the real command paths.
 
 import argparse
 import os
+import re
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import merlib.cli as cli
+import merlib.model as model_module
 import merlib.tensor as tc
 from merlib.cli import (_DEFAULTS, build_parser, gradcheck_table,
-                        load_config, main, run_gradcheck)
+                        load_config, main, network_from_config,
+                        preset_from_config, run_gradcheck)
 from merlib.data import load_manifest
 from merlib.errors import ConfigError
+from merlib.evaluation import folds_loso
 from merlib.imageio import read_image, write_ppm
 from merlib.model import (NetworkSpec, build_network, encode_checkpoint,
                           load_checkpoint, save_checkpoint)
+from merlib.train import predict_classes, train_and_save
 
 
 def read_bytes(path):
@@ -349,6 +357,109 @@ def test_eval_seed_changes_fold_models(micro_dir, small_net_cfg, tmp_path):
     assert main(eval_args(micro_dir, small_net_cfg, out2, seed="8")) == 0
     assert (read_bytes(out1 / "folds/subject-s00.ckpt")
             != read_bytes(out2 / "folds/subject-s00.ckpt"))
+
+
+def test_eval_workers_match_in_process_training(micro_dir, small_net_cfg,
+                                                tmp_path, capsys):
+    # Each fold trains in its own worker process; its checkpoint, log and
+    # predictions must be those of the same fold trained in this process.
+    out = tmp_path / "workers"
+    assert main(eval_args(micro_dir, small_net_cfg, out)) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("fold ")]
+    manifest = load_manifest(str(micro_dir / "manifest.csv"))
+    folds = folds_loso(manifest)
+    assert len(folds) == len(lines) == 3
+    cfg = load_config(small_net_cfg)
+    preset = replace(preset_from_config(cfg, "loso"), epochs=1, batch_size=4)
+    for k, (fold, line) in enumerate(zip(folds, lines)):
+        test = manifest.subset(fold.test)
+        stem = tmp_path / "in_process" / fold.tag
+        model, _ = train_and_save(network_from_config(cfg), preset,
+                                  manifest.subset(fold.train), test, 7 + k,
+                                  stem, attention=True)
+        correct = int((predict_classes(model, test) == test.label_indices()).sum())
+        assert re.fullmatch(rf"fold {fold.tag}: {correct}/{len(test)} correct "
+                            rf"\(\d+\.\d\d s\)", line), line
+        for ext in (".ckpt", ".log"):
+            assert (read_bytes(out / "folds" / f"{fold.tag}{ext}")
+                    == read_bytes(f"{stem}{ext}")), (fold.tag, ext)
+
+
+# Every eval test below also relies on the autouse guard in conftest.py,
+# which fails a test after which a worker process is left, running or not.
+
+def test_eval_fold_error_exits_one_with_its_message(micro_dir, small_net_cfg,
+                                                    tmp_path, capsys):
+    args = eval_args(micro_dir, small_net_cfg, tmp_path / "run")
+    args[args.index("--batch-size") + 1] = "100"
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: batch size 100 exceeds the \d+-sample "
+                        r"training set \(after resampling\)\n", captured.err)
+    assert "fold " not in captured.out
+
+
+def test_eval_write_failure_exits_two_without_temp_files(
+        micro_dir, small_net_cfg, tmp_path, writes_fail_half_way, capsys):
+    out = tmp_path / "run"
+    assert main(eval_args(micro_dir, small_net_cfg, out)) == 2
+    assert "no space left on device" in capsys.readouterr().err
+    assert list(out.rglob("*.tmp*")) == []
+
+
+def test_eval_dead_worker_exits_two_naming_its_fold(micro_dir, small_net_cfg,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+    # Every worker dies without a word; the first fold's death is reported.
+    monkeypatch.setattr(cli, "train_and_save", lambda *a, **k: os._exit(3))
+    assert main(eval_args(micro_dir, small_net_cfg, tmp_path / "run")) == 2
+    assert capsys.readouterr().err == (
+        "error: fold subject-s00: worker exited with code 3 before sending "
+        "a result\n")
+
+
+def test_eval_interrupt_stops_running_workers(micro_dir, small_net_cfg,
+                                              tmp_path, monkeypatch):
+    # Ctrl-C arrives in the parent as it prints the first fold's line. By
+    # then the other two workers sit in the middle of writing their
+    # checkpoints: they must be stopped, not waited for, and each must
+    # remove its temporary file as an interrupted serial run would.
+    out = tmp_path / "run"
+    real_open, real_train_and_save = open, cli.train_and_save
+
+    def stall_after_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        if "subject-s00" not in os.fspath(path):
+            time.sleep(60)
+        return fh
+
+    def first_fold_waits_for_the_others(*args, **kwargs):
+        deadline = time.monotonic() + 20
+        while (os.fspath(args[5]).endswith("subject-s00")
+               and len(list(out.rglob("*.tmp*"))) < 2
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        return real_train_and_save(*args, **kwargs)
+
+    temp_files_at_interrupt = []
+
+    def interrupt_on_fold_line(*args, **kwargs):
+        if str(args[0]).startswith("fold "):
+            temp_files_at_interrupt.extend(out.rglob("*.tmp*"))
+            raise KeyboardInterrupt
+        print(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(model_module, "open", stall_after_open, raising=False)
+    monkeypatch.setattr(cli, "train_and_save", first_fold_waits_for_the_others)
+    monkeypatch.setattr(cli, "print", interrupt_on_fold_line, raising=False)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(eval_args(micro_dir, small_net_cfg, out))
+    assert time.monotonic() - t0 < 30
+    assert len(temp_files_at_interrupt) == 2
+    assert list(out.rglob("*.tmp*")) == []
 
 
 def test_eval_hde_two_databases(micro_dir, beta_dir, small_net_cfg, tmp_path):
