@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import tensor as tc
-from .data import (crop_square, load_manifest, merge_manifests,
+from .data import (Manifest, crop_square, load_manifest, merge_manifests,
                    save_manifest, synth_dataset)
 from .errors import ConfigError, ManifestError, ValidationError
 from .evaluation import (aggregate, folds_cde, folds_hde, folds_loso,
@@ -270,8 +270,15 @@ def cmd_train(args) -> int:
                           "pretrained network to attention")
     init_checkpoint, init_mode = _init_source(cfg, two_stage)
     train_manifest = _load_manifests([args.manifest])[0]
-    val_path = args.val_manifest or cfg["val_manifest"] or None
-    val_manifest = _load_manifests([val_path])[0] if val_path else train_manifest
+    # Only a held-out set is scored; without one, val_accuracy is nan. Its
+    # labels are matched to the training classes by name, and a class
+    # training never saw exits 1 here, before any work.
+    val_manifest = None
+    val_path = args.val_manifest or cfg["val_manifest"]
+    if val_path:
+        val_manifest = Manifest(_load_manifests([val_path])[0].samples,
+                                train_manifest.class_names)
+        val_manifest.label_indices()
 
     preset = preset_from_config(cfg, "pretrain")
     stem = os.path.join(args.out, "stage0")
@@ -280,7 +287,7 @@ def cmd_train(args) -> int:
         # attention parameters injected at zero.
         pre_manifest = _load_manifests([cfg["pretrain_manifest"]])[0]
         pre = preset_from_config(cfg, "pretrain", "pretrain_")
-        train_and_save(spec, pre, pre_manifest, pre_manifest, seed, stem)
+        train_and_save(spec, pre, pre_manifest, None, seed, stem)
         init_checkpoint, init_mode = f"{stem}.ckpt", "upgrade"
         seed, stem = seed + 1, os.path.join(args.out, "stage1")
     _, log = train_and_save(spec, preset, train_manifest, val_manifest, seed,
@@ -316,6 +323,11 @@ def _protocol_folds(protocol, manifest, cfg):
     raise ConfigError(f"unknown protocol {protocol!r}")
 
 
+def _exit_on_signal(signum, frame):
+    """SIGTERM handler: unwind like an exit, running every `finally`."""
+    sys.exit(128 + signum)
+
+
 def _fold_worker(run_fold, k, writer):
     """Body of fold k's worker process: sends (run_fold(k), wall seconds),
     or the exception it raised, and prints nothing."""
@@ -323,7 +335,7 @@ def _fold_worker(run_fold, k, writer):
     # and stops the workers with SIGTERM, which unwinds a worker like an
     # exit, so a write in progress removes its temporary file.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    signal.signal(signal.SIGTERM, _exit_on_signal)
     t0 = time.perf_counter()
     try:
         outcome = (run_fold(k), time.perf_counter() - t0)
@@ -342,9 +354,11 @@ def _run_folds(folds, run_fold, report):
     folds reported, the exception and the exit code are a serial run's. A
     worker that ends without a result is a RuntimeError naming its fold.
     Workers still running when this returns or raises (Ctrl-C, SIGTERM) are
-    terminated and joined. Fork, not spawn or forkserver: it starts no
-    helper process that could outlive the call, and run_fold needs no
-    pickling.
+    terminated and joined. While it runs, SIGTERM raises SystemExit, so a
+    plain `kill` reaches that cleanup too; the previous handler is restored
+    on the way out. Installing a handler needs the main thread. Fork, not
+    spawn or forkserver: it starts no helper process that could outlive the
+    call, and run_fold needs no pickling.
     """
     # Imported here, not at the top: the modules take about 1 MB that no
     # other verb, and no library caller of merlib.cli, needs.
@@ -356,6 +370,7 @@ def _run_folds(folds, run_fold, report):
     live, done = {}, {}  # fold index -> (process, reader); -> outcome
     end = len(folds)     # folds from the first failure on never start
     started = reported = 0
+    previous_sigterm = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         while live or started < end:
             while started < end and len(live) < width:
@@ -390,6 +405,7 @@ def _run_folds(folds, run_fold, report):
         for proc, reader in live.values():
             proc.join()
             reader.close()
+        signal.signal(signal.SIGTERM, previous_sigterm)
     if end < len(folds):
         raise done[end]
 

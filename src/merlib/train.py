@@ -197,9 +197,10 @@ class EpochRecord:
 
 @dataclass
 class TrainLog:
-    """Per-epoch records. val_accuracy is measured before the epoch's
-    updates, so a stage that starts from another stage's final weights
-    shows that model's accuracy at epoch 0."""
+    """Per-epoch records. val_accuracy is measured on the stage's held-out
+    set before the epoch's updates, so a stage that starts from another
+    stage's final weights shows that model's accuracy at epoch 0; it is nan
+    in every row of a stage trained without a held-out set."""
     records: list = field(default_factory=list)
 
     def to_text(self) -> str:
@@ -216,6 +217,10 @@ class TrainLog:
 def run_stage(model: Network, train_manifest: Manifest, val_manifest,
               preset: StagePreset, seed: int) -> tuple:
     """Train `model` in place for preset.epochs epochs; returns (model, log).
+
+    Each epoch is first scored on `val_manifest`, a held-out set whose
+    labels are in the training vocabulary; with None the stage skips that
+    pass and logs nan.
 
     Resampling (when the preset asks for it) happens once up front. Every
     epoch reshuffles from (seed, epoch); each sample's augmentation stream

@@ -1,0 +1,121 @@
+"""Mutation checks: each entry plants one known defect in a copy of `src/`
+and names the tests that must catch it.
+
+Run from anywhere, with numpy, pytest and hypothesis installed:
+
+    python tests/mutants.py
+
+The named tests first run once on an unmodified copy, where they must all
+pass. Then each mutant is applied alone to that copy, and its tests run
+with PYTHONPATH pointing at it; at least one of them must fail. The
+script exits 1 if a mutant survives, if a test errors out instead of
+failing, or if a snippet is no longer found exactly once in its file (a
+refactor moved the code: update the entry). Tier-1 does not run this; it
+is its own CI step. Only fast tests belong here.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (file under src/, exact snippet, replacement, test ids that must fail)
+MUTANTS = [
+    # Zero-attention identity: a fresh attention network is the plain one.
+    ("merlib/model.py",
+     "return tc.Tensor(np.zeros((c, c, 1, 1)), requires_grad=True)",
+     "return tc.Tensor(np.full((c, c, 1, 1), 1e-3), requires_grad=True)",
+     ["tests/test_model.py::TestZeroAttentionIdentity::"
+      "test_fresh_attention_and_plain_networks_agree_bitwise"]),
+    # Exact upgrade: the upgrade must share the fresh network's zero weight.
+    ("merlib/model.py",
+     "bp.attn_w = _zero_attention_weight(bs)",
+     "bp.attn_w = tc.Tensor(np.full((bs.concat_channels, bs.concat_channels,"
+     " 1, 1), 1e-3), requires_grad=True)",
+     ["tests/test_model.py::TestCheckpoints::"
+      "test_upgrade_load_preserves_logits_bitwise"]),
+    # Byte-determinism: augmentation draws depend on (seed, sample, epoch)
+    # only.
+    ("merlib/train.py",
+     "np.random.SeedSequence((seed, int(i), _epoch))",
+     "np.random.SeedSequence((seed, int(i), _epoch,"
+     " __import__('time').time_ns()))",
+     ["tests/test_train.py::TestRunStage::"
+      "test_augmented_training_stays_deterministic"]),
+    # Gradient correctness: a channel dropped from the broadcast map's sum.
+    ("merlib/tensor.py",
+     "_accum(y, gy.sum(axis=1, keepdims=True) if broadcast else gy)",
+     "_accum(y, gy[:, 1:].sum(axis=1, keepdims=True) if broadcast else gy)",
+     ["tests/test_tensor.py::TestGradCheck::test_primitives_under_1e6"]),
+    # Checkpoint validation: stored tensors must be finite.
+    ("merlib/model.py",
+     "if not np.all(np.isfinite(t.data)):",
+     "if False:",
+     ["tests/test_model.py::TestCheckpoints::test_non_finite_tensor_is_corrupt"]),
+    # A stage validates only on a held-out set, never on its training set.
+    ("merlib/cli.py",
+     "    val_manifest = None\n",
+     "    val_manifest = train_manifest\n",
+     ["tests/test_cli.py::test_train_single_stage"]),
+    # A plain SIGTERM to eval must still stop its fold workers.
+    ("merlib/cli.py",
+     "previous_sigterm = signal.signal(signal.SIGTERM, _exit_on_signal)",
+     "previous_sigterm = signal.getsignal(signal.SIGTERM)",
+     ["tests/test_cli.py::test_eval_sigterm_stops_running_workers"]),
+]
+
+
+def run_tests(src, test_ids) -> int:
+    """pytest's exit code for test_ids run against the package under src."""
+    # No bytecode cache: a mutant and its restored original can share a
+    # size and an mtime second, which would let a stale .pyc run.
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           *test_ids]
+    return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="merlib-mutants-") as scratch:
+        src = os.path.join(scratch, "src")
+        shutil.copytree(os.path.join(ROOT, "src"), src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        every_test = sorted({t for *_, tests in MUTANTS for t in tests})
+        code = run_tests(src, every_test)
+        if code != 0:
+            print(f"unmodified source: named tests exit {code}, expected 0")
+            return 1
+        for n, (rel, snippet, replacement, tests) in enumerate(MUTANTS):
+            path = os.path.join(src, rel)
+            with open(path) as fh:
+                original = fh.read()
+            found = original.count(snippet)
+            if found != 1:
+                failures.append(f"mutant {n} ({rel}): snippet found {found} "
+                                f"times, expected once: {snippet!r}")
+                continue
+            with open(path, "w") as fh:
+                fh.write(original.replace(snippet, replacement))
+            try:
+                code = run_tests(src, tests)
+            finally:
+                with open(path, "w") as fh:
+                    fh.write(original)
+            # pytest exits 1 when a test failed; anything else (errors,
+            # nothing collected) says nothing about the mutant.
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
+            print(f"mutant {n} ({rel}): {verdict}")
+            if code != 1:
+                failures.append(f"mutant {n} ({rel}): {verdict}: {snippet!r}")
+    for failure in failures:
+        print(f"FAIL {failure}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,6 +7,9 @@ so the suite stays fast while still exercising the real command paths.
 import argparse
 import os
 import re
+import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -181,17 +184,64 @@ def test_gradcheck_empty_model_passes():
 # ---------------------------------------------------------------------------
 # train
 
+def val_column(log_path):
+    return [float(row.split("\t")[3])
+            for row in log_path.read_text().splitlines()[1:]]
+
+
 def test_train_single_stage(micro_dir, small_net_cfg, tmp_path, capsys):
+    manifest = str(micro_dir / "manifest.csv")
+    argv = ["train", "--manifest", manifest, "--config", small_net_cfg,
+            "--seed", "1", "--preset", "pretrain", "--epochs", "2",
+            "--batch-size", "6", "--out"]
     out = tmp_path / "run"
-    rc = main(["train", "--manifest", str(micro_dir / "manifest.csv"),
-               "--config", small_net_cfg, "--out", str(out), "--seed", "1",
-               "--preset", "pretrain", "--epochs", "2", "--batch-size", "6"])
-    assert rc == 0
+    assert main(argv + [str(out)]) == 0
     assert (out / "stage0.ckpt").is_file()
     log = (out / "stage0.log").read_text().splitlines()
     assert log[0] == "epoch\tlr\ttrain_loss\tval_accuracy"
     assert len(log) == 3  # header + 2 epochs
     assert "trained 1 stage(s)" in capsys.readouterr().out
+    # No held-out set, no validation pass: the column is nan. Naming the
+    # training set as the held-out set gives back training accuracy and
+    # leaves training untouched.
+    assert all(np.isnan(v) for v in val_column(out / "stage0.log"))
+    scored = tmp_path / "scored"
+    assert main(argv + [str(scored), "--val-manifest", manifest]) == 0
+    assert read_bytes(scored / "stage0.ckpt") == read_bytes(out / "stage0.ckpt")
+    assert all(0.0 <= v <= 1.0 for v in val_column(scored / "stage0.log"))
+
+
+def write_rows(path, header, rows):
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return str(path)
+
+
+def test_train_scores_held_out_labels_by_name(micro_dir, small_net_cfg,
+                                              tmp_path, capsys):
+    # The held-out rows list their classes in reverse order, so their own
+    # vocabulary numbers the classes the other way round; they must still be
+    # scored as the same classes the network was trained on.
+    header, *rows = (micro_dir / "manifest.csv").read_text().splitlines()
+    rows = [f"{micro_dir}/{row}" for row in rows]  # image paths made absolute
+    in_order = write_rows(tmp_path / "in_order.csv", header, rows)
+    reversed_ = write_rows(tmp_path / "reversed.csv", header,
+                           sorted(rows, key=lambda row: row.split(",")[3],
+                                  reverse=True))
+    argv = ["train", "--manifest", in_order, "--config", small_net_cfg,
+            "--seed", "1", "--epochs", "3", "--batch-size", "6"]
+    columns = []
+    for val in (in_order, reversed_):
+        out = tmp_path / os.path.splitext(os.path.basename(val))[0]
+        assert main(argv + ["--out", str(out), "--val-manifest", val]) == 0
+        columns.append(val_column(out / "stage0.log"))
+    assert columns[0] == columns[1]
+    # A held-out class the training set never had is rejected before work.
+    foreign = write_rows(tmp_path / "foreign.csv", header,
+                         [rows[0].replace(",class0,", ",class9,")])
+    out = tmp_path / "foreign"
+    assert main(argv + ["--out", str(out), "--val-manifest", foreign]) == 1
+    assert "class9" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_flag_beats_config(micro_dir, tmp_path):
@@ -230,7 +280,8 @@ def test_train_two_stage_pipeline(micro_dir, tmp_path):
                    f"epochs = 1\nbatch_size = 6\npreset = loso\n")
     out = tmp_path / "pipe"
     rc = main(["train", "--manifest", str(micro_dir / "manifest.csv"),
-               "--config", str(cfg), "--out", str(out), "--seed", "4"])
+               "--config", str(cfg), "--out", str(out), "--seed", "4",
+               "--val-manifest", str(micro_dir / "manifest.csv")])
     assert rc == 0
     stage0 = load_checkpoint(str(out / "stage0.ckpt"))
     stage1 = load_checkpoint(str(out / "stage1.ckpt"))
@@ -240,6 +291,9 @@ def test_train_two_stage_pipeline(micro_dir, tmp_path):
     rows1 = (out / "stage1.log").read_text().splitlines()[1:]
     assert [r.split("\t")[1] for r in rows0] == ["0.005", "0.005"]
     assert len(rows1) == 1 and rows1[0].split("\t")[1] == "0.001"
+    # The held-out set scores the fine-tuned stage only; pretraining has none.
+    assert all(np.isnan(v) for v in val_column(out / "stage0.log"))
+    assert 0.0 <= val_column(out / "stage1.log")[0] <= 1.0
 
 
 @pytest.mark.parametrize("verb, extra_cfg, flags, named", [
@@ -460,6 +514,57 @@ def test_eval_interrupt_stops_running_workers(micro_dir, small_net_cfg,
     assert time.monotonic() - t0 < 30
     assert len(temp_files_at_interrupt) == 2
     assert list(out.rglob("*.tmp*")) == []
+
+
+def process_state(pid):
+    """The state letter of a process ('R', 'S', 'Z', ...), or None if gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+def test_eval_sigterm_stops_running_workers(micro_dir, small_net_cfg,
+                                            tmp_path):
+    # A plain `kill` of a command-line eval whose folds are still training:
+    # the parent must stop its workers before it exits, and no fold file may
+    # be written after the signal.
+    out = tmp_path / "run"
+    args = eval_args(micro_dir, small_net_cfg, out)
+    args[args.index("--epochs") + 1] = "100000"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "merlib.cli", *args],
+                            env={**os.environ, "PYTHONPATH": src},
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    workers = []
+    try:
+        children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+        deadline = time.monotonic() + 30
+        while not workers and time.monotonic() < deadline:
+            assert proc.poll() is None, proc.stderr.read().decode()
+            with open(children) as fh:
+                workers = [int(pid) for pid in fh.read().split()]
+            time.sleep(0.05)
+        assert workers, "no fold worker started within 30 s"
+        def fold_files():
+            return sorted(p for p in out.rglob("*") if p.is_file())
+
+        before = fold_files()
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=30)
+        assert [process_state(pid) for pid in workers
+                if process_state(pid) not in (None, "Z")] == []
+        assert fold_files() == before
+        assert code == 128 + signal.SIGTERM
+    finally:
+        for pid in workers:
+            if process_state(pid) not in (None, "Z"):
+                os.kill(pid, signal.SIGKILL)
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_eval_hde_two_databases(micro_dir, beta_dir, small_net_cfg, tmp_path):
