@@ -8,7 +8,9 @@ precedence. Exit codes are a stable contract: 0 success, 1 validation error,
 """
 
 import argparse
+import ctypes
 import os
+import platform
 import signal
 import sys
 import time
@@ -257,6 +259,14 @@ def _load_manifests(paths) -> list:
     return [load_manifest(_require_file(p, "manifest")) for p in paths]
 
 
+def _load_in_vocabulary(path, class_names) -> Manifest:
+    """The manifest at `path` with its labels numbered as in `class_names`,
+    matched by name; a label outside them exits 1 here, before any work."""
+    manifest = Manifest(_load_manifests([path])[0].samples, class_names)
+    manifest.label_indices()
+    return manifest
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     _apply_flag_overrides(cfg, args)
@@ -270,22 +280,20 @@ def cmd_train(args) -> int:
                           "pretrained network to attention")
     init_checkpoint, init_mode = _init_source(cfg, two_stage)
     train_manifest = _load_manifests([args.manifest])[0]
-    # Only a held-out set is scored; without one, val_accuracy is nan. Its
-    # labels are matched to the training classes by name, and a class
-    # training never saw exits 1 here, before any work.
+    classes = train_manifest.class_names
+    # Only a held-out set is scored; without one, val_accuracy is nan.
     val_manifest = None
     val_path = args.val_manifest or cfg["val_manifest"]
     if val_path:
-        val_manifest = Manifest(_load_manifests([val_path])[0].samples,
-                                train_manifest.class_names)
-        val_manifest.label_indices()
+        val_manifest = _load_in_vocabulary(val_path, classes)
 
     preset = preset_from_config(cfg, "pretrain")
     stem = os.path.join(args.out, "stage0")
     if two_stage:
         # Two-stage transfer: plain pretraining, then fine-tune with the
-        # attention parameters injected at zero.
-        pre_manifest = _load_manifests([cfg["pretrain_manifest"]])[0]
+        # attention parameters injected at zero. Stage 0's head numbers the
+        # classes as stage 1 reads them.
+        pre_manifest = _load_in_vocabulary(cfg["pretrain_manifest"], classes)
         pre = preset_from_config(cfg, "pretrain", "pretrain_")
         train_and_save(spec, pre, pre_manifest, None, seed, stem)
         init_checkpoint, init_mode = f"{stem}.ckpt", "upgrade"
@@ -563,7 +571,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt(3) parameter numbers, from <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory():
+    """Make glibc keep freed memory for reuse instead of returning it to the
+    kernel, so a training step reuses the previous step's pages and pays no
+    first-touch page faults for its activations and gradients.
+
+    By default glibc maps a large block (a batch-50 activation is 3.2 MB)
+    on its own and unmaps it on free, and trims the heap's top once a few
+    of them are free, so each step's peak goes back to the kernel. Now
+    blocks under 32 MiB (glibc's cap on the mmap threshold) come from the
+    heap, and the heap is trimmed only past 1 GiB free. Both are set
+    because setting either turns off glibc's dynamic mmap threshold, which
+    would leave it at 128 KiB. The setting is process-wide, forked workers
+    inherit it, and it changes no arithmetic. It does nothing on another
+    libc or without mallopt.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -33,9 +33,9 @@ class Tensor:
     `data` is contiguous row-major and owned by the tensor; callers must not
     mutate it while a tape referencing the tensor is still alive (the
     optimizer updates leaves in place only between forward passes). `grad`
-    is filled by `Tape.backward` and matches `data` in shape. `tape_id` is
-    the index of the op that produced this tensor on its tape, None for
-    leaves.
+    is filled by `Tape.backward` for leaves and matches `data` in shape.
+    `tape_id` is the index of the op that produced this tensor on its tape,
+    None for leaves.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "tape_id")
@@ -99,11 +99,14 @@ class Tape:
         self._ops.append((output, backward_fn))
 
     def backward(self, loss: Tensor, params=()):
-        """Accumulate d(loss)/d(tensor) into .grad for every tensor reached.
+        """Accumulate d(loss)/d(tensor) into .grad for every leaf reached.
 
-        Parameters listed in `params` that the loss does not depend on get
-        a zero gradient buffer instead of None, so optimizers can treat
-        the result uniformly.
+        An op's output gradient is released as soon as the op's backward
+        has consumed it, so the next op's gradient reuses that memory while
+        it is still in cache instead of a fresh block; outputs of recorded
+        ops hold no gradient afterwards. Parameters listed in `params` that
+        the loss does not depend on get a zero gradient buffer instead of
+        None, so optimizers can treat the result uniformly.
         """
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -114,6 +117,7 @@ class Tape:
         for output, backward_fn in reversed(self._ops):
             if output.grad is not None:
                 backward_fn(output.grad)
+                output.grad = None
         for p in params:
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)

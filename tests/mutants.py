@@ -65,6 +65,34 @@ MUTANTS = [
      "previous_sigterm = signal.signal(signal.SIGTERM, _exit_on_signal)",
      "previous_sigterm = signal.getsignal(signal.SIGTERM)",
      ["tests/test_cli.py::test_eval_sigterm_stops_running_workers"]),
+    # main keeps freed memory for reuse instead of returning it to the kernel.
+    ("merlib/cli.py",
+     "    _keep_freed_memory()\n    parser = build_parser()\n",
+     "    parser = build_parser()\n",
+     ["tests/test_cli.py::test_repeated_training_reuses_freed_memory"]),
+    # Stage 0 numbers the pretraining classes as stage 1 reads them.
+    ("merlib/cli.py",
+     "_load_in_vocabulary(cfg[\"pretrain_manifest\"], classes)",
+     "_load_manifests([cfg[\"pretrain_manifest\"]])[0]",
+     ["tests/test_cli.py::test_two_stage_pretrains_in_training_vocabulary"]),
+    # Backward releases each op's output gradient once consumed.
+    ("merlib/tensor.py",
+     "                output.grad = None\n",
+     "",
+     ["tests/test_tensor.py::TestTape::"
+      "test_backward_accumulates_through_reuse"]),
+    # Gradient correctness: the weight gradient drops the batch's last image.
+    ("merlib/tensor.py",
+     "for gi, xi in zip(g, win):",
+     "for gi, xi in zip(g[:-1], win):",
+     ["tests/test_tensor.py::TestConv2dProperties::test_matches_loop_oracle"]),
+    # PPM headers: width, height and maxval must be ASCII digits.
+    ("merlib/imageio.py",
+     "if not all(t.isdigit() for t in tokens[1:4]):",
+     "if False:",
+     ["tests/test_data.py::TestImageIO::test_malformed_header_rejected",
+      "tests/test_data.py::TestImageIO::"
+      "test_random_headers_give_validation_error_or_exact_image"]),
 ]
 
 

@@ -314,9 +314,13 @@ class TestTape:
         # d/dx sum(x + x) = 2 everywhere.
         x = tc.Tensor(np.ones((2, 2)), requires_grad=True)
         with tc.Tape() as tape:
-            loss = tc.tsum(tc.add(x, x))
+            y = tc.add(x, x)
+            loss = tc.tsum(y)
         tape.backward(loss)
         assert np.array_equal(x.grad, np.full((2, 2), 2.0))
+        # Each op's output gradient is released once consumed; leaves keep
+        # theirs.
+        assert y.grad is None and loss.grad is None
 
     def test_unreached_params_get_zero_grads(self):
         x = tc.Tensor(np.ones(3), requires_grad=True)
