@@ -8,9 +8,7 @@ precedence. Exit codes are a stable contract: 0 success, 1 validation error,
 """
 
 import argparse
-import ctypes
 import os
-import platform
 import signal
 import sys
 import time
@@ -571,37 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's mallopt(3) parameter numbers, from <malloc.h>.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_memory():
-    """Make glibc keep freed memory for reuse instead of returning it to the
-    kernel, so a training step reuses the previous step's pages and pays no
-    first-touch page faults for its activations and gradients.
-
-    By default glibc maps a large block (a batch-50 activation is 3.2 MB)
-    on its own and unmaps it on free, and trims the heap's top once a few
-    of them are free, so each step's peak goes back to the kernel. Now
-    blocks under 32 MiB (glibc's cap on the mmap threshold) come from the
-    heap, and the heap is trimmed only past 1 GiB free. Both are set
-    because setting either turns off glibc's dynamic mmap threshold, which
-    would leave it at 128 KiB. The setting is process-wide, forked workers
-    inherit it, and it changes no arithmetic. It does nothing on another
-    libc or without mallopt.
-    """
-    if platform.libc_ver()[0] != "glibc":
-        return
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
-
-
 def main(argv=None) -> int:
-    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -79,14 +79,19 @@ class NetworkSpec:
             raise ConfigError(f"input_shape must be 3 positive ints (C,H,W), got {shape!r}")
         if not isinstance(self.num_classes, int) or self.num_classes < 2:
             raise ConfigError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
-        expected = shape[0]
+        expected, h, w = shape
         for i, b in enumerate(self.blocks):
             if not isinstance(b, BlockSpec):
                 raise ConfigError(f"blocks[{i}] is not a BlockSpec")
             if b.in_channels != expected:
                 raise ConfigError(f"blocks[{i}] expects {b.in_channels} input channels "
                                   f"but receives {expected}")
+            # Both strided convs (1x1 pad 0, 3x3 pad 1) tile h iff s divides h - 1.
+            if (h - 1) % b.stride or (w - 1) % b.stride:
+                raise ConfigError(f"blocks[{i}] stride {b.stride} does not tile its "
+                                  f"{h}x{w} input: (size - 1) must be a multiple of it")
             expected = b.out_channels
+            h, w = (h - 1) // b.stride + 1, (w - 1) // b.stride + 1
 
     @property
     def feature_channels(self) -> int:

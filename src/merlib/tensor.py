@@ -7,16 +7,17 @@ finite-difference gradient checker. Forward execution is eager; when a
 tape is active each op appends itself, and backward replays the records
 in reverse order.
 
-Every convolution, forward and both gradients, is one GEMM per image: the
-kernel against a column block read from a sliding-window view of the
-zero-padded input (`_correlate`).
+Every convolution, forward and both gradients, runs through one lowering
+along the column axis (MEC, `_lowered`): each image of the zero-padded
+input is copied kw times, not kh*kw times as by im2col, and each kernel
+row multiplies a row window of that copy, kh GEMMs per image summed into
+the output (`_correlate`).
 """
 
 import math
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericalError, ShapeError, ValidationError
 
@@ -148,18 +149,47 @@ def _check_finite(arr, what: str):
 # ---------------------------------------------------------------------------
 # convolution
 
+def _lowered(buf: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
+    """MEC's one-axis lowering (Cho & Brand, arXiv 1706.06873) of padded
+    images buf [N,C,Hp,Wp]: yields, image by image, the kh column blocks
+    [C*kw, oh*ow] that the kernel rows w[:, :, di, :] multiply.
+
+    Each row phase r < min(stride, kh) copies the kw column-shifted,
+    column-strided windows of rows r, r + stride, ... into one
+    [C*kw, rows*ow] matrix. Tap row di = q*stride + r reads its columns
+    q*ow:(q+oh)*ow, a 2-D slice BLAS takes without a further copy. The
+    matrices are reused, so an image's blocks hold until the next is
+    yielded. With kw = 1 and stride 1 the matrix is the image itself.
+    """
+    n, c = buf.shape[:2]
+    if kw == 1 and stride == 1:
+        flat = buf.reshape(n, c, -1)
+        yield from zip(*(flat[:, :, di * ow:(di + oh) * ow] for di in range(kh)))
+        return
+    phases = [np.empty((c, kw, oh + (kh - 1 - r) // stride, ow))
+              for r in range(min(stride, kh))]
+    mats = [m.reshape(c * kw, -1) for m in phases]
+    blocks = [mats[di % stride][:, di // stride * ow:(di // stride + oh) * ow]
+              for di in range(kh)]
+    for xi in buf:
+        for r, m in enumerate(phases):
+            src = xi[:, r:r + m.shape[2] * stride:stride]
+            for dj in range(kw):
+                m[:, dj] = src[:, :, dj:dj + ow * stride:stride]
+        yield blocks
+
+
 def _correlate(x: np.ndarray, w: np.ndarray, ph: int, pw: int, stride: int = 1):
     """Cross-correlation of x [N,C,H,W] with w [O,C,kh,kw] at the given
     stride, zero-padded by ph rows and pw columns on each side; a negative
     pad crops instead.
 
-    One GEMM per image: the padded input's kh x kw sliding windows, sampled
-    at [::stride, ::stride], are viewed as [N,C,kh,kw,Oh,Ow], and image i's
-    output is w [O,C*kh*kw] @ its column block [C*kh*kw,Oh*Ow]. The block
-    of a 1x1, stride-1, pad-0 conv is the image itself; any other block is
-    copied, one image at a time, so it stays small. Returns the [N,O,Oh,Ow]
-    output and the window view, from which the weight gradient takes the
-    same column blocks.
+    Image i's output is the sum over kernel rows di of w[:, :, di, :] as
+    [O,C*kw] times that row's column block from `_lowered`: kh GEMMs per
+    image, the first written in place and the rest added to it, over a
+    lowered copy kw (not kh*kw) times the image's size. Returns the
+    [N,O,Oh,Ow] output and the padded input, from which the weight
+    gradient lowers the same blocks again.
     """
     ch, cw = max(-ph, 0), max(-pw, 0)
     x = x[:, :, ch:x.shape[2] - ch, cw:x.shape[3] - cw]
@@ -171,14 +201,17 @@ def _correlate(x: np.ndarray, w: np.ndarray, ph: int, pw: int, stride: int = 1):
         buf[:, :, ph:ph + h, pw:pw + wd] = x
     else:
         buf = x
-    win = sliding_window_view(buf, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    win = win.transpose(0, 1, 4, 5, 2, 3)
-    oh, ow = win.shape[4:]
-    w2 = w.reshape(cout, c * kh * kw)
-    out = np.empty((n, cout, oh, ow))
-    for xi, oi in zip(win, out):
-        np.matmul(w2, xi.reshape(c * kh * kw, oh * ow), out=oi.reshape(cout, oh * ow))
-    return out, win
+    oh = (h + 2 * ph - kh) // stride + 1
+    ow = (wd + 2 * pw - kw) // stride + 1
+    taps = list(w.transpose(2, 0, 1, 3).reshape(kh, cout, c * kw))
+    out = np.empty((n, cout, oh * ow))
+    part = np.empty((cout, oh * ow))
+    for oi, blocks in zip(out, _lowered(buf, kh, kw, stride, oh, ow)):
+        np.matmul(taps[0], blocks[0], out=oi)
+        for di in range(1, kh):
+            np.matmul(taps[di], blocks[di], out=part)
+            oi += part
+    return out.reshape(n, cout, oh, ow), buf
 
 
 def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tensor:
@@ -188,12 +221,13 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tenso
     spatial extent (H + 2*pad - kh) / stride + 1 must come out as an exact
     integer; fractional extents are rejected rather than truncated.
 
-    Every kernel, stride and pad runs through `_correlate`. Backward: dw
-    sums g[i] @ (column block of image i)^T over the images in order; dx
-    is the stride-1 correlation of g with the flipped, transposed kernel,
-    padded by k-1-pad per axis (each input pixel sums the gradients of the
-    windows that cover it). A strided conv first scatters g into zeros of
-    the stride-1 output shape.
+    Every kernel, stride and pad runs through `_correlate`. Backward: the
+    gradient of kernel row di sums g[i] @ (its column block of image i)^T
+    over the images in order, the blocks lowered again from the padded
+    input that forward returned; dx is the stride-1 correlation of g with
+    the flipped, transposed kernel, padded by k-1-pad per axis (each input
+    pixel sums the gradients of the windows that cover it). A strided conv
+    first scatters g into zeros of the stride-1 output shape.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be [N,C,H,W], got shape {x.shape}")
@@ -216,7 +250,7 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tenso
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},), got {b.shape}")
 
-    y, win = _correlate(x.data, w.data, pad, pad, stride)
+    y, buf = _correlate(x.data, w.data, pad, pad, stride)
     if b is not None:
         y += b.data[:, None, None]
     out = Tensor(y)
@@ -225,11 +259,13 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tenso
         if b is not None and _wants_grad(b):
             _accum(b, g.sum(axis=(0, 2, 3)))
         if _wants_grad(w):
-            k, p = cin * kh * kw, g.shape[2] * g.shape[3]
-            gw = np.zeros((cout, k))
-            for gi, xi in zip(g, win):
-                gw += gi.reshape(cout, p) @ xi.reshape(k, p).T
-            _accum(w, gw.reshape(w.shape))
+            oh, ow = g.shape[2:]
+            gw = np.zeros((kh, cout, cin * kw))
+            for gi, blocks in zip(g.reshape(n, cout, oh * ow),
+                                  _lowered(buf, kh, kw, stride, oh, ow)):
+                for di in range(kh):
+                    gw[di] += gi @ blocks[di].T
+            _accum(w, gw.reshape(kh, cout, cin, kw).transpose(1, 2, 0, 3))
         if _wants_grad(x):
             if stride > 1:
                 gs = np.zeros((n, cout, h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1))
@@ -362,13 +398,16 @@ def add_scalar(x: Tensor, s: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0); the subgradient at exactly zero is zero."""
+    """max(x, 0); the subgradient at exactly zero is zero.
+
+    Backward takes its mask from the output: out > 0 exactly where x > 0,
+    so a forward pass without a tape builds no mask.
+    """
     out = Tensor(np.maximum(x.data, 0.0))
-    mask = x.data > 0.0
 
     def backward(g):
         if _wants_grad(x):
-            _accum(x, g * mask)
+            _accum(x, g * (out.data > 0.0))
 
     return _record(out, [x], backward)
 

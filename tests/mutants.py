@@ -65,11 +65,13 @@ MUTANTS = [
      "previous_sigterm = signal.signal(signal.SIGTERM, _exit_on_signal)",
      "previous_sigterm = signal.getsignal(signal.SIGTERM)",
      ["tests/test_cli.py::test_eval_sigterm_stops_running_workers"]),
-    # main keeps freed memory for reuse instead of returning it to the kernel.
-    ("merlib/cli.py",
-     "    _keep_freed_memory()\n    parser = build_parser()\n",
-     "    parser = build_parser()\n",
-     ["tests/test_cli.py::test_repeated_training_reuses_freed_memory"]),
+    # Importing merlib keeps freed memory for reuse instead of returning it
+    # to the kernel, under main and for library callers alike.
+    ("merlib/__init__.py",
+     "\n\n\n_keep_freed_memory()\n",
+     "\n",
+     ["tests/test_cli.py::test_library_forwards_reuse_freed_memory",
+      "tests/test_cli.py::test_repeated_training_reuses_freed_memory"]),
     # Stage 0 numbers the pretraining classes as stage 1 reads them.
     ("merlib/cli.py",
      "_load_in_vocabulary(cfg[\"pretrain_manifest\"], classes)",
@@ -83,9 +85,20 @@ MUTANTS = [
       "test_backward_accumulates_through_reuse"]),
     # Gradient correctness: the weight gradient drops the batch's last image.
     ("merlib/tensor.py",
-     "for gi, xi in zip(g, win):",
-     "for gi, xi in zip(g[:-1], win):",
+     "for gi, blocks in zip(g.reshape(n, cout, oh * ow),",
+     "for gi, blocks in zip(g.reshape(n, cout, oh * ow)[:-1],",
      ["tests/test_tensor.py::TestConv2dProperties::test_matches_loop_oracle"]),
+    # Conv lowering: tap row di reads row phase di % stride; the next phase
+    # gives wrong values, not a shape error, for a 2-row kernel at stride 2.
+    ("merlib/tensor.py",
+     "mats[di % stride]",
+     "mats[(di + 1) % stride]",
+     ["tests/test_tensor.py::TestConv2dProperties::test_matches_loop_oracle"]),
+    # A block stride must tile its input before any work starts.
+    ("merlib/model.py",
+     "if (h - 1) % b.stride or (w - 1) % b.stride:",
+     "if False:",
+     ["tests/test_cli.py::test_bad_config_exits_one"]),
     # PPM headers: width, height and maxval must be ASCII digits.
     ("merlib/imageio.py",
      "if not all(t.isdigit() for t in tokens[1:4]):",

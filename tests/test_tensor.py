@@ -132,15 +132,17 @@ class TestConv2d:
 class TestConv2dProperties:
     """conv2d forward and all three gradients against the loop oracles, over
     random shapes: every kernel, stride and pad runs through the one
-    per-image GEMM over sliding-window column blocks. Batches of up to four
-    images exercise the loop over images and the dw sum across them; dx
-    uses per-axis pads on non-square kernels, and a stride-1 scatter of the
-    gradient when strided."""
+    lowering, kh GEMMs per image over row windows of MEC's column-shifted
+    matrices. Kernels up to 5 rows take stride-2 and stride-3 row phases
+    past their first tap (q >= 1). Batches of up to four images exercise
+    the loop over images and the dw sum across them; dx uses per-axis pads
+    on non-square kernels, and a stride-1 scatter of the gradient when
+    strided."""
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 4), cin=st.integers(1, 3), cout=st.integers(1, 3),
-           h=st.integers(1, 8), w=st.integers(1, 8), kh=st.integers(1, 3),
-           kw=st.integers(1, 3), stride=st.integers(1, 3), pad=st.integers(0, 3),
+           h=st.integers(1, 8), w=st.integers(1, 8), kh=st.integers(1, 5),
+           kw=st.integers(1, 5), stride=st.integers(1, 3), pad=st.integers(0, 3),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_loop_oracle(self, n, cin, cout, h, w, kh, kw, stride, pad, seed):
         rng = np.random.default_rng(seed)
