@@ -9,7 +9,6 @@ precedence. Exit codes are a stable contract: 0 success, 1 validation error,
 
 import argparse
 import os
-import signal
 import sys
 import time
 from dataclasses import replace
@@ -17,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import tensor as tc
+from . import workers
 from .data import (Manifest, crop_square, load_manifest, merge_manifests,
                    save_manifest, synth_dataset)
 from .errors import ConfigError, ManifestError, ValidationError
@@ -125,6 +125,15 @@ def network_from_config(cfg) -> NetworkSpec:
     return NetworkSpec.stack(shape, _as_int(cfg, "blocks"),
                              _as_int(cfg, "width"), _as_int(cfg, "classes"),
                              strides=strides)
+
+
+def _reads_images(spec: NetworkSpec) -> NetworkSpec:
+    """`spec`, if it takes the 3-channel input every decoded image gives;
+    only gradcheck, which draws random inputs, trains other widths."""
+    if spec.input_shape[0] != 3:
+        raise ConfigError(f"network expects {spec.input_shape[0]} input "
+                          f"channels; images always have 3")
+    return spec
 
 
 def preset_from_config(cfg, name: str, prefix: str = ""):
@@ -269,7 +278,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     _apply_flag_overrides(cfg, args)
     seed = _check_seed(args.seed)
-    spec = network_from_config(cfg)
+    spec = _reads_images(network_from_config(cfg))
     attention = _as_bool(cfg, "attention")
     two_stage = bool(cfg["pretrain_manifest"])
     if two_stage and not attention:
@@ -287,18 +296,23 @@ def cmd_train(args) -> int:
 
     preset = preset_from_config(cfg, "pretrain")
     stem = os.path.join(args.out, "stage0")
-    if two_stage:
-        # Two-stage transfer: plain pretraining, then fine-tune with the
-        # attention parameters injected at zero. Stage 0's head numbers the
-        # classes as stage 1 reads them.
-        pre_manifest = _load_in_vocabulary(cfg["pretrain_manifest"], classes)
-        pre = preset_from_config(cfg, "pretrain", "pretrain_")
-        train_and_save(spec, pre, pre_manifest, None, seed, stem)
-        init_checkpoint, init_mode = f"{stem}.ckpt", "upgrade"
-        seed, stem = seed + 1, os.path.join(args.out, "stage1")
-    _, log = train_and_save(spec, preset, train_manifest, val_manifest, seed,
-                            stem, attention=attention,
-                            init_checkpoint=init_checkpoint, init_mode=init_mode)
+    # A stage of large batches forks a helper process; a plain `kill` must
+    # reach the `finally` that stops it.
+    with workers.sigterm_exits():
+        if two_stage:
+            # Two-stage transfer: plain pretraining, then fine-tune with the
+            # attention parameters injected at zero. Stage 0's head numbers
+            # the classes as stage 1 reads them.
+            pre_manifest = _load_in_vocabulary(cfg["pretrain_manifest"],
+                                               classes)
+            pre = preset_from_config(cfg, "pretrain", "pretrain_")
+            train_and_save(spec, pre, pre_manifest, None, seed, stem)
+            init_checkpoint, init_mode = f"{stem}.ckpt", "upgrade"
+            seed, stem = seed + 1, os.path.join(args.out, "stage1")
+        _, log = train_and_save(spec, preset, train_manifest, val_manifest,
+                                seed, stem, attention=attention,
+                                init_checkpoint=init_checkpoint,
+                                init_mode=init_mode)
     print(f"trained {2 if two_stage else 1} stage(s); final train loss "
           f"{log.records[-1].train_loss!r}, artifacts under {args.out}")
     return 0
@@ -329,25 +343,15 @@ def _protocol_folds(protocol, manifest, cfg):
     raise ConfigError(f"unknown protocol {protocol!r}")
 
 
-def _exit_on_signal(signum, frame):
-    """SIGTERM handler: unwind like an exit, running every `finally`."""
-    sys.exit(128 + signum)
-
-
-def _fold_worker(run_fold, k, writer):
+def _fold_worker(conn, run_fold, k):
     """Body of fold k's worker process: sends (run_fold(k), wall seconds),
     or the exception it raised, and prints nothing."""
-    # Ctrl-C reaches the whole process group; the parent alone handles it
-    # and stops the workers with SIGTERM, which unwinds a worker like an
-    # exit, so a write in progress removes its temporary file.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, _exit_on_signal)
     t0 = time.perf_counter()
     try:
         outcome = (run_fold(k), time.perf_counter() - t0)
     except Exception as e:
         outcome = e
-    writer.send(outcome)
+    conn.send(outcome)
 
 
 def _run_folds(folds, run_fold, report):
@@ -360,58 +364,41 @@ def _run_folds(folds, run_fold, report):
     folds reported, the exception and the exit code are a serial run's. A
     worker that ends without a result is a RuntimeError naming its fold.
     Workers still running when this returns or raises (Ctrl-C, SIGTERM) are
-    terminated and joined. While it runs, SIGTERM raises SystemExit, so a
-    plain `kill` reaches that cleanup too; the previous handler is restored
-    on the way out. Installing a handler needs the main thread. Fork, not
-    spawn or forkserver: it starts no helper process that could outlive the
-    call, and run_fold needs no pickling.
+    stopped (`workers.stop`); while it runs, a plain `kill` reaches that
+    cleanup too (`workers.sigterm_exits`).
     """
-    # Imported here, not at the top: the modules take about 1 MB that no
-    # other verb, and no library caller of merlib.cli, needs.
-    import multiprocessing
     from multiprocessing.connection import wait
 
-    fork = multiprocessing.get_context("fork")
     width = min(len(os.sched_getaffinity(0)), len(folds))
-    live, done = {}, {}  # fold index -> (process, reader); -> outcome
+    live, done = {}, {}  # fold index -> (process, conn); -> outcome
     end = len(folds)     # folds from the first failure on never start
     started = reported = 0
-    previous_sigterm = signal.signal(signal.SIGTERM, _exit_on_signal)
-    try:
-        while live or started < end:
-            while started < end and len(live) < width:
-                reader, writer = fork.Pipe(duplex=False)
-                proc = fork.Process(target=_fold_worker,
-                                    args=(run_fold, started, writer))
-                proc.start()
-                live[started] = (proc, reader)
-                writer.close()  # so a dead worker reads as EOF, not a hang
-                started += 1
-            ready = wait([reader for _, reader in live.values()])
-            for k in [k for k, (_, reader) in live.items() if reader in ready]:
-                proc, reader = live.pop(k)
-                try:
-                    done[k] = reader.recv()
-                except EOFError:
-                    done[k] = None
-                reader.close()
-                proc.join()
-                if done[k] is None:
-                    done[k] = RuntimeError(
-                        f"fold {folds[k].tag}: worker exited with code "
-                        f"{proc.exitcode} before sending a result")
-                if isinstance(done[k], Exception):
-                    end = min(end, k)
-            while reported < end and reported in done:
-                report(reported, *done.pop(reported))
-                reported += 1
-    finally:
-        for proc, _ in live.values():
-            proc.terminate()
-        for proc, reader in live.values():
-            proc.join()
-            reader.close()
-        signal.signal(signal.SIGTERM, previous_sigterm)
+    with workers.sigterm_exits():
+        try:
+            while live or started < end:
+                while started < end and len(live) < width:
+                    live[started] = workers.start(_fold_worker, run_fold, started)
+                    started += 1
+                ready = wait([conn for _, conn in live.values()])
+                for k in [k for k, (_, conn) in live.items() if conn in ready]:
+                    proc, conn = live.pop(k)
+                    try:
+                        done[k] = conn.recv()
+                    except EOFError:
+                        done[k] = None
+                    conn.close()
+                    proc.join()
+                    if done[k] is None:
+                        done[k] = RuntimeError(
+                            f"fold {folds[k].tag}: worker exited with code "
+                            f"{proc.exitcode} before sending a result")
+                    if isinstance(done[k], Exception):
+                        end = min(end, k)
+                while reported < end and reported in done:
+                    report(reported, *done.pop(reported))
+                    reported += 1
+        finally:
+            workers.stop(live.values())
     if end < len(folds):
         raise done[end]
 
@@ -420,7 +407,7 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     _apply_flag_overrides(cfg, args)
     seed = _check_seed(args.seed)
-    spec = network_from_config(cfg)
+    spec = _reads_images(network_from_config(cfg))
     attention = _as_bool(cfg, "attention")
     if cfg["val_manifest"]:
         raise ConfigError("val_manifest does not apply to eval: each fold "
@@ -476,6 +463,7 @@ def _normalize_map(arr: np.ndarray) -> np.ndarray:
 
 def cmd_visualize(args) -> int:
     model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+    _reads_images(model.spec)
     image = read_image(_require_file(args.image, "image"))
     _, h, w = model.spec.input_shape
     x = tc.Tensor(prepare_input(image, model.spec.input_shape)[None])

@@ -6,16 +6,21 @@ writes its checkpoint and log.
 Everything is deterministic from (seed, data, preset): epoch shuffles come
 from (seed, epoch) and each sample's augmentation generator from
 (seed, sample_index, epoch), so the batch stream replays exactly no matter
-how the work is scheduled.
+how the work is scheduled. Each batch is split into fixed shards of at most
+SHARD_SIZE samples whose gradients are combined in shard order, so a stage
+that computes some shards in a forked helper process (to use a second CPU)
+writes the same bytes as one that computes them all in-process.
 """
 
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import tensor as tc
+from . import workers
 from .data import (AugmentConfig, Manifest, augment, crop_square,
                    load_sample_image, resample_balance)
 from .errors import ConfigError, ShapeError, TrainingError
@@ -214,6 +219,91 @@ class TrainLog:
         write_atomic(path, self.to_text().encode())
 
 
+# Most samples one forward and backward pass takes. Batches are split into
+# near-equal shards of at most this many, so a step's result depends on the
+# batch, never on how many processes compute its shards.
+SHARD_SIZE = 32
+
+
+def _shard_pass(model: Network, train: Manifest, labels, augment_cfg,
+                seed: int, epoch: int, idx) -> tuple:
+    """Assemble shard `idx` of an epoch-`epoch` batch (decode, plus the
+    augmentation of (seed, sample, epoch)), run its forward and backward
+    pass, and return (its mean loss, {parameter name: gradient})."""
+    def sample_rng(i):
+        return np.random.default_rng(np.random.SeedSequence((seed, int(i), epoch)))
+
+    x = _batch_array(train, idx, model.spec.input_shape,
+                     augment_cfg=augment_cfg, rng_for=sample_rng)
+    params = model.parameters()
+    model.zero_grads()
+    with tc.Tape() as tape:
+        loss = tc.softmax_cross_entropy(model.forward(tc.Tensor(x)), labels[idx])
+    tape.backward(loss, params=params.values())
+    return loss.item(), {name: p.grad for name, p in params.items()}
+
+
+def _shard_helper(conn, shard, params):
+    """Body of a stage's helper process. For each (parameter arrays, epoch,
+    shards) message it loads the parameters and sends back
+    [shard(epoch, idx) for idx in shards], or the exception the first
+    failing shard raised. It ends quietly once its parent has gone."""
+    while True:
+        try:
+            arrays, epoch, shards = conn.recv()
+        except EOFError:
+            return
+        for p, a in zip(params, arrays):
+            p.data = a
+        try:
+            outcome = [shard(epoch, idx) for idx in shards]
+        except Exception as e:
+            outcome = e
+        try:
+            conn.send(outcome)
+        except ConnectionError:
+            return
+
+
+def _batch_grads(shard, epoch: int, idx, params, helper=None) -> tuple:
+    """One step's (loss sum, {name: gradient}) for batch `idx`.
+
+    The batch is split, in order, into ceil(b / SHARD_SIZE) near-equal
+    shards. The gradient is the sum over shards of (n_s / b) * g_s and the
+    loss sum that of n_s * loss_s, both in shard order; a batch of at most
+    SHARD_SIZE is one shard with weight exactly 1. With a `helper` (a
+    (process, conn) pair running `_shard_helper`) this process computes
+    shard 0 while the helper computes the rest from the same parameters.
+    Failures surface in shard order, as the in-process run raises them.
+    """
+    shards = np.array_split(idx, math.ceil(len(idx) / SHARD_SIZE))
+    if helper is None or len(shards) == 1:
+        results = [shard(epoch, s) for s in shards]
+    else:
+        proc, conn = helper
+        conn.send(([p.data for p in params.values()], epoch, shards[1:]))
+        results = [shard(epoch, shards[0])]
+        try:
+            outcome = conn.recv()
+        except EOFError:
+            proc.join()
+            raise RuntimeError(f"shard helper exited with code "
+                               f"{proc.exitcode} before sending a result")
+        if isinstance(outcome, Exception):
+            raise outcome
+        results += outcome
+    loss_sum, grads = 0.0, {}
+    for s, (loss, g) in zip(shards, results):
+        weight = len(s) / len(idx)
+        loss_sum += len(s) * loss
+        for name, v in g.items():
+            if name in grads:
+                grads[name] += weight * v
+            else:
+                grads[name] = weight * v
+    return loss_sum, grads
+
+
 def run_stage(model: Network, train_manifest: Manifest, val_manifest,
               preset: StagePreset, seed: int) -> tuple:
     """Train `model` in place for preset.epochs epochs; returns (model, log).
@@ -227,6 +317,14 @@ def run_stage(model: Network, train_manifest: Manifest, val_manifest,
     is seeded by (seed, sample_index, epoch), where sample_index is the
     position in the post-resampling list, so duplicated samples still see
     independent augmentations.
+
+    Each step's gradient comes from fixed shards of its batch
+    (`_batch_grads`). When a batch holds more than one shard, the process
+    may run on two or more CPUs and is not itself a worker process, the
+    stage forks one helper that computes every shard but the first; it ends
+    with the stage and writes nothing. Its results are the bytes an
+    in-process run gives, so artifacts depend on (seed, data, preset)
+    only, never on the CPU or BLAS thread count.
     """
     if len(train_manifest) == 0:
         raise ConfigError("training set is empty")
@@ -244,36 +342,32 @@ def run_stage(model: Network, train_manifest: Manifest, val_manifest,
                           f"network predicts {model.spec.num_classes}")
     log = TrainLog()
     seed = int(seed)
-
-    for epoch in range(preset.epochs):
-        lr = lr_at(schedule, epoch)
-        val_acc = (evaluate_accuracy(model, val_manifest)
-                   if val_manifest is not None else float("nan"))
-        order = np.random.default_rng(
-            np.random.SeedSequence((seed, epoch))).permutation(n)
-
-        def sample_rng(i, _epoch=epoch):
-            return np.random.default_rng(
-                np.random.SeedSequence((seed, int(i), _epoch)))
-
-        loss_sum = 0.0
-        for start in range(0, n, preset.batch_size):
-            idx = order[start:start + preset.batch_size]
-            x = _batch_array(train, idx, model.spec.input_shape,
-                             augment_cfg=preset.augment, rng_for=sample_rng)
+    shard = partial(_shard_pass, model, train, labels, preset.augment, seed)
+    helper = None
+    if (preset.batch_size > SHARD_SIZE and len(os.sched_getaffinity(0)) > 1
+            and not workers.in_worker()):
+        helper = workers.start(_shard_helper, shard, list(params.values()))
+    try:
+        for epoch in range(preset.epochs):
+            lr = lr_at(schedule, epoch)
+            val_acc = (evaluate_accuracy(model, val_manifest)
+                       if val_manifest is not None else float("nan"))
+            order = np.random.default_rng(
+                np.random.SeedSequence((seed, epoch))).permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, preset.batch_size):
+                idx = order[start:start + preset.batch_size]
+                batch_loss, grads = _batch_grads(shard, epoch, idx, params, helper)
+                sgd_step(params, grads, state, lr, preset.momentum,
+                         preset.weight_decay)
+                loss_sum += batch_loss
             model.zero_grads()
-            with tc.Tape() as tape:
-                loss = tc.softmax_cross_entropy(model.forward(tc.Tensor(x)),
-                                                labels[idx])
-            tape.backward(loss, params=params.values())
-            grads = {name: p.grad for name, p in params.items()}
-            sgd_step(params, grads, state, lr, preset.momentum,
-                     preset.weight_decay)
-            loss_sum += loss.item() * len(idx)
-        model.zero_grads()
-        log.records.append(EpochRecord(epoch=epoch, lr=lr,
-                                       train_loss=loss_sum / n,
-                                       val_accuracy=val_acc))
+            log.records.append(EpochRecord(epoch=epoch, lr=lr,
+                                           train_loss=loss_sum / n,
+                                           val_accuracy=val_acc))
+    finally:
+        if helper is not None:
+            workers.stop([helper])
     return model, log
 
 

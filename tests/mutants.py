@@ -40,8 +40,8 @@ MUTANTS = [
     # Byte-determinism: augmentation draws depend on (seed, sample, epoch)
     # only.
     ("merlib/train.py",
-     "np.random.SeedSequence((seed, int(i), _epoch))",
-     "np.random.SeedSequence((seed, int(i), _epoch,"
+     "np.random.SeedSequence((seed, int(i), epoch))",
+     "np.random.SeedSequence((seed, int(i), epoch,"
      " __import__('time').time_ns()))",
      ["tests/test_train.py::TestRunStage::"
       "test_augmented_training_stays_deterministic"]),
@@ -60,11 +60,18 @@ MUTANTS = [
      "    val_manifest = None\n",
      "    val_manifest = train_manifest\n",
      ["tests/test_cli.py::test_train_single_stage"]),
-    # A plain SIGTERM to eval must still stop its fold workers.
-    ("merlib/cli.py",
-     "previous_sigterm = signal.signal(signal.SIGTERM, _exit_on_signal)",
-     "previous_sigterm = signal.getsignal(signal.SIGTERM)",
-     ["tests/test_cli.py::test_eval_sigterm_stops_running_workers"]),
+    # A plain SIGTERM to eval or train must still stop its workers.
+    ("merlib/workers.py",
+     "previous = signal.signal(signal.SIGTERM, _exit_on_signal)",
+     "previous = signal.getsignal(signal.SIGTERM)",
+     ["tests/test_cli.py::test_eval_sigterm_stops_running_workers",
+      "tests/test_cli.py::test_train_sigterm_stops_its_helper"]),
+    # A worker closes its copy of the parent's pipe end, or it never reads
+    # EOF once its parent has died.
+    ("merlib/workers.py",
+     "    parent_end.close()\n",
+     "",
+     ["tests/test_cli.py::test_helper_exits_when_its_parent_is_killed"]),
     # Importing merlib keeps freed memory for reuse instead of returning it
     # to the kernel, under main and for library callers alike.
     ("merlib/__init__.py",
@@ -74,7 +81,8 @@ MUTANTS = [
       "tests/test_cli.py::test_repeated_training_reuses_freed_memory"]),
     # Stage 0 numbers the pretraining classes as stage 1 reads them.
     ("merlib/cli.py",
-     "_load_in_vocabulary(cfg[\"pretrain_manifest\"], classes)",
+     "_load_in_vocabulary(cfg[\"pretrain_manifest\"],\n"
+     "                                               classes)",
      "_load_manifests([cfg[\"pretrain_manifest\"]])[0]",
      ["tests/test_cli.py::test_two_stage_pretrains_in_training_vocabulary"]),
     # Backward releases each op's output gradient once consumed.
@@ -99,6 +107,22 @@ MUTANTS = [
      "if (h - 1) % b.stride or (w - 1) % b.stride:",
      "if False:",
      ["tests/test_cli.py::test_bad_config_exits_one"]),
+    # The stage helper loads each step's parameters before its shards.
+    ("merlib/train.py",
+     "            p.data = a\n",
+     "            p.data = p.data\n",
+     ["tests/test_cli.py::test_train_artifacts_do_not_depend_on_cpu_count"]),
+    # The helper augments its shards with the step's epoch stream.
+    ("merlib/train.py",
+     "outcome = [shard(epoch, idx) for idx in shards]",
+     "outcome = [shard(0, idx) for idx in shards]",
+     ["tests/test_cli.py::test_train_artifacts_do_not_depend_on_cpu_count"]),
+    # Each shard's gradient weighs by its share of the batch.
+    ("merlib/train.py",
+     "weight = len(s) / len(idx)",
+     "weight = 1 / len(shards)",
+     ["tests/test_train.py::TestRunStage::"
+      "test_sharded_gradient_equals_single_pass"]),
     # PPM headers: width, height and maxval must be ASCII digits.
     ("merlib/imageio.py",
      "if not all(t.isdigit() for t in tokens[1:4]):",

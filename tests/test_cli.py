@@ -5,9 +5,11 @@ so the suite stays fast while still exercising the real command paths.
 """
 
 import argparse
+import multiprocessing
 import os
 import platform
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -21,6 +23,7 @@ import merlib
 import merlib.cli as cli
 import merlib.model as model_module
 import merlib.tensor as tc
+import merlib.workers as workers
 from merlib.cli import (_DEFAULTS, build_parser, gradcheck_table,
                         load_config, main, network_from_config,
                         preset_from_config, run_gradcheck)
@@ -102,6 +105,20 @@ def test_bad_config_exits_one(micro_dir, tmp_path):
                "--config", str(path), "--out", str(out)])
     assert rc == 1
     assert not out.exists()
+    # Images always decode to 3 channels: a network of another input width
+    # cannot train on them or read them, and only gradcheck takes one.
+    path.write_text("input_size = 8\nclasses = 3\nblocks = 2\nchannels = 1\n")
+    checkpoint = tmp_path / "gray.ckpt"
+    save_checkpoint(build_network(NetworkSpec.stack((1, 8, 8), 2, 4, 3), 0),
+                    str(checkpoint))
+    for argv in (["train", "--manifest", str(micro_dir / "manifest.csv")],
+                 ["eval", "--protocol", "loso",
+                  "--manifest", str(micro_dir / "manifest.csv")],
+                 ["visualize", "--checkpoint", str(checkpoint),
+                  "--image", str(micro_dir / "images" / "00000.ppm")]):
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+    assert main(["gradcheck", "--config", str(path), "--out", str(out)]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +633,211 @@ def test_eval_sigterm_stops_running_workers(micro_dir, small_net_cfg,
         proc.stderr.close()
 
 
+# ---------------------------------------------------------------------------
+# batch shards and the stage helper
+
+@pytest.fixture(scope="module")
+def batch_dir(tmp_path_factory):
+    """54 samples, enough for the pretrain preset's batch of 50."""
+    out = tmp_path_factory.mktemp("batch")
+    assert main(["synth", "--out", str(out), "--classes", "3", "--subjects",
+                 "3", "--per-class", "6", "--size", "8", "--seed", "8"]) == 0
+    return out
+
+
+def batch_train_args(data_dir, cfg, out, epochs="3"):
+    # Batch 50 of 54 samples with augmentation: each epoch is one step of
+    # two 25-sample shards and one step of a 4-sample shard.
+    return ["train", "--manifest", str(data_dir / "manifest.csv"),
+            "--config", cfg, "--seed", "3", "--preset", "pretrain",
+            "--epochs", epochs, "--out", str(out)]
+
+
+@pytest.fixture
+def helper_starts(monkeypatch):
+    """Counts the stage helpers this process starts."""
+    started = []
+    real_start = workers.start
+
+    def counting_start(body, *args):
+        started.append(body)
+        return real_start(body, *args)
+
+    monkeypatch.setattr(workers, "start", counting_start)
+    return started
+
+
+def run_on_cpus(monkeypatch, cpus, argv):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    return main(argv)
+
+
+def test_train_artifacts_do_not_depend_on_cpu_count(
+        batch_dir, small_net_cfg, tmp_path, monkeypatch, helper_starts):
+    # On one CPU this process computes both shards of a step; on two a
+    # helper process computes the second one from the same parameters.
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert run_on_cpus(monkeypatch, {0},
+                       batch_train_args(batch_dir, small_net_cfg, one)) == 0
+    assert helper_starts == []
+    assert run_on_cpus(monkeypatch, {0, 1},
+                       batch_train_args(batch_dir, small_net_cfg, two)) == 0
+    assert len(helper_starts) == 1
+    for name in ("stage0.ckpt", "stage0.log"):
+        assert read_bytes(one / name) == read_bytes(two / name), name
+
+
+def test_train_artifacts_do_not_depend_on_blas_threads(
+        batch_dir, small_net_cfg, tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "merlib.cli",
+                        *batch_train_args(batch_dir, small_net_cfg, out)],
+                       env=env, check=True, capture_output=True)
+        runs.append([read_bytes(out / name)
+                     for name in ("stage0.ckpt", "stage0.log")])
+    assert runs[0] == runs[1]
+
+
+def test_eval_artifacts_do_not_depend_on_fold_workers(
+        micro_dir, small_net_cfg, tmp_path, monkeypatch):
+    outs = [tmp_path / "one", tmp_path / "two"]
+    for cpus, out in zip(({0}, {0, 1}), outs):
+        assert run_on_cpus(monkeypatch, cpus,
+                           eval_args(micro_dir, small_net_cfg, out)) == 0
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*")
+                   if p.is_file())
+    assert len(files) == 8  # two reports, a checkpoint and a log per fold
+    for rel in files:
+        assert read_bytes(outs[0] / rel) == read_bytes(outs[1] / rel), rel
+
+
+def test_eval_fold_workers_start_no_helper(batch_dir, small_net_cfg,
+                                           tmp_path, monkeypatch):
+    # Each fold trains on 36 samples in batches of 36, two shards a step;
+    # a fold worker still computes both itself.
+    real_start = workers.start
+
+    def start_from_the_parent_only(*args):
+        if multiprocessing.parent_process() is not None:
+            raise AssertionError("a fold worker started a process")
+        return real_start(*args)
+
+    monkeypatch.setattr(workers, "start", start_from_the_parent_only)
+    args = eval_args(batch_dir, small_net_cfg, tmp_path / "run")
+    args[args.index("--batch-size") + 1] = "36"
+    assert run_on_cpus(monkeypatch, {0, 1}, args) == 0
+
+
+def test_helper_shard_error_exits_as_in_process(batch_dir, small_net_cfg,
+                                                tmp_path, monkeypatch, capsys,
+                                                helper_starts):
+    # One image, in the second shard of the first step, is truncated: the
+    # helper reads it, and the run must fail with the in-process run's exit
+    # code and message.
+    data = tmp_path / "data"
+    shutil.copytree(batch_dir, data)
+    manifest = load_manifest(str(data / "manifest.csv"))
+    order = np.random.default_rng(np.random.SeedSequence((3, 0))).permutation(
+        len(manifest))
+    path = manifest.samples[order[30]].image
+    raster = read_bytes(path)
+    with open(path, "wb") as fh:
+        fh.write(raster[:len(raster) - 10])
+    capsys.readouterr()
+    outcomes = []
+    for cpus in ({0}, {0, 1}):
+        code = run_on_cpus(monkeypatch, cpus, batch_train_args(
+            data, small_net_cfg, tmp_path / f"run{len(cpus)}"))
+        outcomes.append((code, capsys.readouterr().err))
+    assert len(helper_starts) == 1
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (1, f"error: {path}: raster has 182 bytes, "
+                              f"needs 192\n")
+
+
+def start_training_session(args):
+    """A `merlib train` subprocess in its own session, and its helper's pid
+    once it has forked one."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "merlib.cli", *args],
+                            env={**os.environ, "PYTHONPATH": src},
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        assert proc.poll() is None, proc.stderr.read().decode()
+        with open(children) as fh:
+            helpers = [int(pid) for pid in fh.read().split()]
+        if helpers:
+            return proc, helpers[0]
+        time.sleep(0.05)
+    proc.kill()
+    proc.wait()
+    pytest.fail("no helper started within 30 s")
+
+
+def session_members(sid):
+    """Pids of the live processes in session `sid`."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if int(fields[3]) == sid and fields[0] != "Z":
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="reads process state from /proc")
+def test_train_sigterm_stops_its_helper(batch_dir, small_net_cfg, tmp_path):
+    proc, _ = start_training_session(batch_train_args(
+        batch_dir, small_net_cfg, tmp_path / "run", epochs="100000"))
+    try:
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        assert session_members(proc.pid) == []
+    finally:
+        for pid in session_members(proc.pid):
+            os.kill(pid, signal.SIGKILL)
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="reads process state from /proc")
+def test_helper_exits_when_its_parent_is_killed(batch_dir, small_net_cfg,
+                                                tmp_path):
+    proc, helper = start_training_session(batch_train_args(
+        batch_dir, small_net_cfg, tmp_path / "run", epochs="100000"))
+    try:
+        proc.kill()
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 1
+        while (process_state(helper) not in (None, "Z")
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert process_state(helper) in (None, "Z")
+        # It left quietly: no traceback from a pipe closed under it.
+        assert proc.stderr.read() == b""
+    finally:
+        for pid in session_members(proc.pid):
+            os.kill(pid, signal.SIGKILL)
+        proc.stderr.close()
+
+
 def test_eval_hde_two_databases(micro_dir, beta_dir, small_net_cfg, tmp_path):
     out = tmp_path / "hde"
     rc = main(["eval", "--protocol", "hde",
@@ -737,8 +959,9 @@ def test_visualize_crops_oversized_image(tmp_path):
 # ---------------------------------------------------------------------------
 # memory reuse
 
-# Trains the same batch-50 stage twice in one fresh process and prints the
-# minor page faults of the second run. Without reuse, every step takes its
+# Trains a batch-50 stage once to warm up, then a 2-epoch and a 6-epoch run
+# of it in one fresh process, and prints the difference of their minor page
+# faults: the four extra steps' share. Without reuse, every step takes its
 # activations and gradients as fresh pages from the kernel again.
 REPEATED_TRAINING = """
 import os, resource, sys
@@ -750,13 +973,16 @@ save_manifest(synth_dataset(n_classes=5, n_subjects=5, per_class=2,
 cfg = os.path.join(out, "net.cfg")
 with open(cfg, "w") as fh:
     fh.write("input_size = 32\\nclasses = 5\\nblocks = 4\\nwidth = 8\\n")
-argv = ["train", "--manifest", os.path.join(out, "manifest.csv"),
-        "--config", cfg, "--preset", "pretrain", "--epochs", "2",
-        "--out", os.path.join(out, "run")]
-assert main(argv) == 0
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-assert main(argv) == 0
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+def faults(epochs):
+    argv = ["train", "--manifest", os.path.join(out, "manifest.csv"),
+            "--config", cfg, "--preset", "pretrain", "--epochs", str(epochs),
+            "--out", os.path.join(out, "run")]
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+faults(2)
+short = faults(2)
+print(faults(6) - short)
 """
 
 
@@ -770,8 +996,11 @@ def test_repeated_training_reuses_freed_memory(tmp_path):
                              str(tmp_path)], env=env, capture_output=True,
                             text=True, check=True)
     faults = int(result.stdout.splitlines()[-1])
-    # About 16k at glibc's defaults and under 20 with the setting (glibc
-    # 2.36, 2-core VM).
+    # Each run of the stage costs a fixed 24.6k faults where it forks its
+    # shard helper: after the fork the whole retained heap is copy-on-write,
+    # and the first write to each page copies it. The difference cancels
+    # that and leaves the steps: under 300 with the setting, about 112k at
+    # glibc's defaults (glibc 2.36, 2-core VM).
     assert faults < 2000
 
 

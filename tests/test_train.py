@@ -4,6 +4,7 @@ import pathlib
 import re
 import tempfile
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from merlib.errors import (CheckpointSpecMismatch, ConfigError, ShapeError,
 from merlib.model import (NetworkSpec, build_network, load_checkpoint,
                           save_checkpoint)
 from merlib.train import (PRESETS, EpochRecord, OptimState, Schedule,
-                          StagePreset, TrainLog, evaluate_accuracy, lr_at,
-                          predict_classes, prepare_input, run_stage, sgd_step,
-                          train_and_save)
+                          StagePreset, TrainLog, _batch_grads, _shard_pass,
+                          evaluate_accuracy, lr_at, predict_classes,
+                          prepare_input, run_stage, sgd_step, train_and_save)
 
 SPEC16 = NetworkSpec.stack((3, 16, 16), 2, 4, 2)
 
@@ -247,6 +248,29 @@ class TestRunStage:
             _, log = run_stage(model, data, None, preset, seed=11)
             texts.append(log.to_text())
         assert texts[0] == texts[1]
+
+    def test_sharded_gradient_equals_single_pass(self):
+        # An uneven batch of 45 is two shards, of 23 and 22 samples, weighted
+        # 23/45 and 22/45: their sum is the gradient of one pass over all 45
+        # up to rounding.
+        data = synth_dataset(3, 3, 5, image_size=8, seed=2)  # 45 samples
+        model = build_network(NetworkSpec.stack((3, 8, 8), 2, 4, 3), seed=3)
+        shard = partial(_shard_pass, model, data, data.label_indices(), None, 0)
+        idx = np.random.default_rng(0).permutation(len(data))
+        loss, single = shard(0, idx)
+        sizes = []
+
+        def recording_shard(epoch, shard_idx):
+            sizes.append(len(shard_idx))
+            return shard(epoch, shard_idx)
+
+        loss_sum, sharded = _batch_grads(recording_shard, 0, idx,
+                                         model.parameters())
+        assert sizes == [23, 22]
+        assert loss_sum == pytest.approx(45 * loss, rel=1e-12, abs=0)
+        assert list(sharded) == list(single)
+        for name, g in single.items():
+            assert np.abs(sharded[name] - g).max() <= 1e-12 * np.abs(g).max(), name
 
     def test_log_serialization_roundtrip_floats(self):
         log = TrainLog([EpochRecord(0, 0.01, 1.6094379124341003, float("nan"))])
