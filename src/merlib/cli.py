@@ -12,6 +12,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from .evaluation import (aggregate, folds_cde, folds_hde, folds_loso,
 from .imageio import read_image, write_pgm, write_ppm
 from .model import (NetworkSpec, attention_readout, build_network,
                     load_checkpoint, parameter_grad_errors, write_atomic)
-from .train import PRESETS, predict_classes, prepare_input, train_and_save
+from .train import (PRESETS, predict_classes, prepare_input,
+                    stage_training_set, train_and_save)
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -295,17 +297,19 @@ def cmd_train(args) -> int:
         val_manifest = _load_in_vocabulary(val_path, classes)
 
     preset = preset_from_config(cfg, "pretrain")
+    if two_stage:
+        # Two-stage transfer: plain pretraining, then fine-tune with the
+        # attention parameters injected at zero. Stage 0's head numbers the
+        # classes as stage 1 reads them.
+        pre_manifest = _load_in_vocabulary(cfg["pretrain_manifest"], classes)
+        pre = preset_from_config(cfg, "pretrain", "pretrain_")
+        stage_training_set(pre_manifest, pre)
+    stage_training_set(train_manifest, preset)
     stem = os.path.join(args.out, "stage0")
     # A stage of large batches forks a helper process; a plain `kill` must
     # reach the `finally` that stops it.
     with workers.sigterm_exits():
         if two_stage:
-            # Two-stage transfer: plain pretraining, then fine-tune with the
-            # attention parameters injected at zero. Stage 0's head numbers
-            # the classes as stage 1 reads them.
-            pre_manifest = _load_in_vocabulary(cfg["pretrain_manifest"],
-                                               classes)
-            pre = preset_from_config(cfg, "pretrain", "pretrain_")
             train_and_save(spec, pre, pre_manifest, None, seed, stem)
             init_checkpoint, init_mode = f"{stem}.ckpt", "upgrade"
             seed, stem = seed + 1, os.path.join(args.out, "stage1")
@@ -343,62 +347,73 @@ def _protocol_folds(protocol, manifest, cfg):
     raise ConfigError(f"unknown protocol {protocol!r}")
 
 
-def _fold_worker(conn, run_fold, k):
-    """Body of fold k's worker process: sends (run_fold(k), wall seconds),
-    or the exception it raised, and prints nothing."""
+def _timed_fold(run_fold, k) -> tuple:
+    """A fold worker's call (`workers.serve`): (run_fold(k), its wall
+    seconds). It prints nothing."""
     t0 = time.perf_counter()
-    try:
-        outcome = (run_fold(k), time.perf_counter() - t0)
-    except Exception as e:
-        outcome = e
-    conn.send(outcome)
+    return run_fold(k), time.perf_counter() - t0
+
+
+def _worker_died(fold, worker) -> RuntimeError:
+    """Reap a worker that ended without a result for `fold`; the error
+    `_run_folds` raises for it."""
+    proc, _ = worker
+    workers.stop([worker])
+    return RuntimeError(f"fold {fold.tag}: worker exited with code "
+                        f"{proc.exitcode} before sending a result")
 
 
 def _run_folds(folds, run_fold, report):
-    """Run run_fold(k) for every fold in forked worker processes, at most one
-    per available CPU at a time, and call report(k, result, seconds) in fold
-    order as the results arrive.
+    """Run run_fold(k) for every fold in forked worker processes and call
+    report(k, result, seconds) in fold order as the results arrive.
 
-    A failed fold keeps the folds after it from starting. Once the running
-    workers have ended, the first failure in fold order is raised, so the
-    folds reported, the exception and the exit code are a serial run's. A
-    worker that ends without a result is a RuntimeError naming its fold.
-    Workers still running when this returns or raises (Ctrl-C, SIGTERM) are
-    stopped (`workers.stop`); while it runs, a plain `kill` reaches that
-    cleanup too (`workers.sigterm_exits`).
+    Before the first fold, min(available CPUs, folds) workers are forked
+    once; each idle worker is sent the next fold index and runs it, so a
+    worker holds one fold's training memory at a time and later folds pay
+    no fork. A failed fold keeps the folds after it from starting. Once
+    the busy workers have ended, the first failure in fold order is
+    raised, so the folds reported, the exception and the exit code are a
+    serial run's. A worker that dies, busy or idle (found when it is sent
+    its next fold), is a RuntimeError naming the fold it was given. When
+    this returns or raises, idle workers are ended by closing their pipes
+    and busy ones (Ctrl-C, SIGTERM) are terminated (`workers.stop`); while
+    it runs, a plain `kill` reaches that cleanup too
+    (`workers.sigterm_exits`).
     """
     from multiprocessing.connection import wait
 
     width = min(len(os.sched_getaffinity(0)), len(folds))
-    live, done = {}, {}  # fold index -> (process, conn); -> outcome
-    end = len(folds)     # folds from the first failure on never start
-    started = reported = 0
+    idle, busy, done = [], {}, {}  # workers; conn -> (fold, worker); outcomes
+    end = len(folds)               # folds from the first failure on never start
+    sent = reported = 0
     with workers.sigterm_exits():
         try:
-            while live or started < end:
-                while started < end and len(live) < width:
-                    live[started] = workers.start(_fold_worker, run_fold, started)
-                    started += 1
-                ready = wait([conn for _, conn in live.values()])
-                for k in [k for k, (_, conn) in live.items() if conn in ready]:
-                    proc, conn = live.pop(k)
+            for _ in range(width):
+                idle.append(workers.start(partial(_timed_fold, run_fold)))
+            while busy or sent < end:
+                while idle and sent < end:
+                    worker = idle.pop()
+                    try:
+                        worker[1].send((sent,))
+                        busy[worker[1]] = sent, worker
+                    except ConnectionError:  # it died while idle
+                        done[sent] = _worker_died(folds[sent], worker)
+                        end = sent
+                    sent += 1
+                for conn in wait(list(busy)) if busy else ():
+                    k, worker = busy.pop(conn)
                     try:
                         done[k] = conn.recv()
+                        idle.append(worker)
                     except EOFError:
-                        done[k] = None
-                    conn.close()
-                    proc.join()
-                    if done[k] is None:
-                        done[k] = RuntimeError(
-                            f"fold {folds[k].tag}: worker exited with code "
-                            f"{proc.exitcode} before sending a result")
+                        done[k] = _worker_died(folds[k], worker)
                     if isinstance(done[k], Exception):
                         end = min(end, k)
                 while reported < end and reported in done:
                     report(reported, *done.pop(reported))
                     reported += 1
         finally:
-            workers.stop(live.values())
+            workers.stop([w for _, w in busy.values()], idle)
     if end < len(folds):
         raise done[end]
 
@@ -418,6 +433,9 @@ def cmd_eval(args) -> int:
 
     folds = _protocol_folds(args.protocol, manifest, cfg)
     preset = preset_from_config(cfg, args.protocol)
+    # In fold order, so a bad batch size fails with a serial run's message.
+    for fold in folds:
+        stage_training_set(manifest.subset(fold.train), preset)
 
     def run_fold(k):
         fold = folds[k]

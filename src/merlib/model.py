@@ -6,9 +6,9 @@ a 3x3 conv, and a second 3x3 on top of it (an effective 5x5 receptive
 field). The trunk is pointwise + wide. The attention map embeds the
 concatenated branches with a bias-free 1x1 conv and averages the result
 over channels; the trunk is then gated by (1 + map). By linearity the
-map is computed as one 1x1 conv by the row mean of the stored [C,C,1,1]
-embedding, exact for any embedding, which keeps the checkpoint format
-and parameter count. With the attention weight at zero the gate is
+map is the branches' channel sum weighted by the row mean of the stored
+[C,C,1,1] embedding, exact for any embedding, which keeps the checkpoint
+format and parameter count. With the attention weight at zero the gate is
 exactly 1.0, so the block is bit-for-bit the plain residual block:
 checkpoints from plain pretraining can be upgraded in place without
 changing a single logit.
@@ -129,17 +129,19 @@ def attention_map(point: tc.Tensor, mid: tc.Tensor, wide: tc.Tensor,
                   attn_w: tc.Tensor) -> tc.Tensor:
     """Single-channel spatial map from the three branch activations.
 
-    Concatenates the branches, embeds them with a bias-free 1x1 conv that
-    keeps the width, and averages over channels: [N,1,H,W]. The channel
-    mean of a linear map is the map by the mean of its rows, so this runs
-    as one 1x1 conv with the row mean of attn_w as its single output
-    channel; that is exact for any attn_w, not only ones with equal rows.
+    Defined as the channel mean of the branches' concatenation embedded by
+    a bias-free 1x1 conv that keeps the width: [N,1,H,W]. The channel mean
+    of a linear map is the map by the mean of its rows, v = row_mean(attn_w),
+    and v splits by branch width, so the map is sum_b v_b . branch_b: one
+    weighted channel sum per branch (`tc.weighted_channel_sum`), exact for
+    any attn_w, with no concatenation built forward or backward.
     """
-    cat = tc.channel_concat([point, mid, wide])
-    if attn_w.shape != (cat.shape[1], cat.shape[1], 1, 1):
-        raise ShapeError(f"attention weight must be [{cat.shape[1]},{cat.shape[1]},1,1], "
+    branches = [point, mid, wide]
+    c = sum(t.shape[1] for t in branches if t.data.ndim == 4)
+    if attn_w.shape != (c, c, 1, 1):
+        raise ShapeError(f"attention weight must be [{c},{c},1,1], "
                          f"got {attn_w.shape}")
-    return tc.conv2d(cat, tc.row_mean(attn_w), stride=1, pad=0)
+    return tc.weighted_channel_sum(branches, tc.row_mean(attn_w))
 
 
 def _block_apply(x: tc.Tensor, p: BlockParams, stride: int, want_map: bool):

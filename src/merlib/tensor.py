@@ -1,11 +1,11 @@
 """Dense float64 tensors with a recorded tape for reverse-mode autodiff.
 
 Covers exactly what a small convolutional classifier needs: conv2d,
-channel concat/mean, a weight row mean, broadcast elementwise arithmetic,
-relu, pooling, a linear head, softmax cross-entropy, and a
-finite-difference gradient checker. Forward execution is eager; when a
-tape is active each op appends itself, and backward replays the records
-in reverse order.
+channel concat/mean, a weighted channel sum, a weight row mean, broadcast
+elementwise arithmetic, relu, pooling, a linear head, softmax
+cross-entropy, and a finite-difference gradient checker. Forward
+execution is eager; when a tape is active each op appends itself, and
+backward replays the records in reverse order.
 
 Every convolution, forward and both gradients, runs through one lowering
 along the column axis (MEC, `_lowered`): each image of the zero-padded
@@ -286,21 +286,27 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tenso
 # ---------------------------------------------------------------------------
 # channel ops
 
-def channel_concat(xs) -> Tensor:
-    """Concatenate [N,Ci,H,W] tensors along the channel axis."""
+def _channel_stack(xs, op: str) -> tuple:
+    """(xs as a list, channel offsets [0, C0, C0+C1, ...]) for [N,Ci,H,W]
+    tensors that stack along the channel axis."""
     xs = list(xs)
     if not xs:
-        raise ValidationError("channel_concat needs at least one tensor")
+        raise ValidationError(f"{op} needs at least one tensor")
     first = xs[0]
     for t in xs:
         if t.data.ndim != 4:
-            raise ShapeError(f"channel_concat expects rank-4 tensors, got shape {t.shape}")
+            raise ShapeError(f"{op} expects rank-4 tensors, got shape {t.shape}")
         if t.shape[0] != first.shape[0] or t.shape[2:] != first.shape[2:]:
             raise ShapeError(
-                f"channel_concat needs matching batch and spatial dims, "
+                f"{op} needs matching batch and spatial dims, "
                 f"got {first.shape} vs {t.shape}")
+    return xs, np.cumsum([0] + [t.shape[1] for t in xs])
+
+
+def channel_concat(xs) -> Tensor:
+    """Concatenate [N,Ci,H,W] tensors along the channel axis."""
+    xs, bounds = _channel_stack(xs, "channel_concat")
     out = Tensor(np.concatenate([t.data for t in xs], axis=1))
-    bounds = np.cumsum([0] + [t.shape[1] for t in xs])
 
     def backward(g):
         for t, lo, hi in zip(xs, bounds[:-1], bounds[1:]):
@@ -308,6 +314,41 @@ def channel_concat(xs) -> Tensor:
                 _accum(t, g[:, lo:hi])
 
     return _record(out, xs, backward)
+
+
+def weighted_channel_sum(xs, w: Tensor) -> Tensor:
+    """Channel sum of [N,Ci,H,W] tensors, each channel weighted by its
+    entry of w [1,C,1,1], C = sum of Ci: [N,1,H,W].
+
+    This is the 1x1 conv by w of the tensors' channel concatenation,
+    computed without building it: one batched matmul over [N,Ci,H*W] per
+    tensor, summed in order. Backward: tensor i gets w_i times the output
+    gradient by broadcasting, and w_i's gradient is the sum of that
+    gradient times tensor i over images and pixels. A zero w gives an
+    exactly zero sum and zero input gradients.
+    """
+    xs, bounds = _channel_stack(xs, "weighted_channel_sum")
+    if w.shape != (1, bounds[-1], 1, 1):
+        raise ShapeError(f"weighted_channel_sum weight must be "
+                         f"[1,{bounds[-1]},1,1], got {w.shape}")
+    n, _, h, wd = xs[0].shape
+    ws = [w.data[0, lo:hi, 0, 0] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    flats = [t.data.reshape(n, t.shape[1], h * wd) for t in xs]
+    y = np.matmul(ws[0], flats[0])
+    for wi, flat in zip(ws[1:], flats[1:]):
+        y += np.matmul(wi, flat)
+    out = Tensor(y.reshape(n, 1, h, wd))
+
+    def backward(g):
+        for t, wi in zip(xs, ws):
+            if _wants_grad(t):
+                _accum(t, wi[:, None, None] * g)
+        if _wants_grad(w):
+            gcol = g.reshape(n, h * wd, 1)
+            gw = [np.matmul(flat, gcol).sum(axis=0) for flat in flats]
+            _accum(w, np.concatenate(gw).reshape(w.shape))
+
+    return _record(out, [*xs, w], backward)
 
 
 def _mean(x: Tensor, axes: tuple, keepdims: bool) -> Tensor:

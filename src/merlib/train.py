@@ -243,26 +243,12 @@ def _shard_pass(model: Network, train: Manifest, labels, augment_cfg,
     return loss.item(), {name: p.grad for name, p in params.items()}
 
 
-def _shard_helper(conn, shard, params):
-    """Body of a stage's helper process. For each (parameter arrays, epoch,
-    shards) message it loads the parameters and sends back
-    [shard(epoch, idx) for idx in shards], or the exception the first
-    failing shard raised. It ends quietly once its parent has gone."""
-    while True:
-        try:
-            arrays, epoch, shards = conn.recv()
-        except EOFError:
-            return
-        for p, a in zip(params, arrays):
-            p.data = a
-        try:
-            outcome = [shard(epoch, idx) for idx in shards]
-        except Exception as e:
-            outcome = e
-        try:
-            conn.send(outcome)
-        except ConnectionError:
-            return
+def _shard_helper(shard, params, arrays, epoch: int, shards) -> list:
+    """A stage helper's call (`workers.serve`): load the step's parameter
+    arrays, then return [shard(epoch, idx) for idx in shards]."""
+    for p, a in zip(params, arrays):
+        p.data = a
+    return [shard(epoch, idx) for idx in shards]
 
 
 def _batch_grads(shard, epoch: int, idx, params, helper=None) -> tuple:
@@ -272,7 +258,7 @@ def _batch_grads(shard, epoch: int, idx, params, helper=None) -> tuple:
     shards. The gradient is the sum over shards of (n_s / b) * g_s and the
     loss sum that of n_s * loss_s, both in shard order; a batch of at most
     SHARD_SIZE is one shard with weight exactly 1. With a `helper` (a
-    (process, conn) pair running `_shard_helper`) this process computes
+    (process, conn) pair serving `_shard_helper`) this process computes
     shard 0 while the helper computes the rest from the same parameters.
     Failures surface in shard order, as the in-process run raises them.
     """
@@ -304,6 +290,19 @@ def _batch_grads(shard, epoch: int, idx, params, helper=None) -> tuple:
     return loss_sum, grads
 
 
+def stage_training_set(train_manifest: Manifest, preset: StagePreset) -> Manifest:
+    """The set a stage of `preset` trains on: `train_manifest`, resampled
+    if the preset asks for it. Rejects an empty set and a batch larger than
+    the set, so a caller can check a stage before it starts any work."""
+    if len(train_manifest) == 0:
+        raise ConfigError("training set is empty")
+    train = resample_balance(train_manifest) if preset.resample else train_manifest
+    if preset.batch_size > len(train):
+        raise ConfigError(f"batch size {preset.batch_size} exceeds the "
+                          f"{len(train)}-sample training set (after resampling)")
+    return train
+
+
 def run_stage(model: Network, train_manifest: Manifest, val_manifest,
               preset: StagePreset, seed: int) -> tuple:
     """Train `model` in place for preset.epochs epochs; returns (model, log).
@@ -326,13 +325,8 @@ def run_stage(model: Network, train_manifest: Manifest, val_manifest,
     in-process run gives, so artifacts depend on (seed, data, preset)
     only, never on the CPU or BLAS thread count.
     """
-    if len(train_manifest) == 0:
-        raise ConfigError("training set is empty")
-    train = resample_balance(train_manifest) if preset.resample else train_manifest
+    train = stage_training_set(train_manifest, preset)
     n = len(train)
-    if preset.batch_size > n:
-        raise ConfigError(f"batch size {preset.batch_size} exceeds the "
-                          f"{n}-sample training set (after resampling)")
     params = model.parameters()
     state = OptimState(params)
     schedule = preset.schedule()
@@ -346,7 +340,8 @@ def run_stage(model: Network, train_manifest: Manifest, val_manifest,
     helper = None
     if (preset.batch_size > SHARD_SIZE and len(os.sched_getaffinity(0)) > 1
             and not workers.in_worker()):
-        helper = workers.start(_shard_helper, shard, list(params.values()))
+        helper = workers.start(partial(_shard_helper, shard,
+                                       list(params.values())))
     try:
         for epoch in range(preset.epochs):
             lr = lr_at(schedule, epoch)

@@ -1,25 +1,47 @@
 """Forked worker processes: how merlib starts, stops and talks to them.
 
-`eval` trains each fold in one (`cli._run_folds`), and a training stage
-whose batches hold more than one shard computes all but the first shard of
-every step in one (`train.run_stage`). Each worker gets one duplex pipe to
-its parent. Fork, not spawn or forkserver: it starts no server process that
-could outlive the caller, and a worker's body and arguments need no
-pickling. A stage run inside a worker starts no helper (`in_worker`), so
-at most one busy process runs per CPU.
+Every worker runs one loop, `serve`: it receives an argument tuple, replies
+with the result of its call or with the exception the call raised, and
+returns once its parent closes the pipe. `eval` forks its fold workers once
+per available CPU before the first fold and sends each idle one the next
+fold index (`cli._run_folds`); a training stage whose batches hold more
+than one shard forks one helper that computes all but the first shard of
+every step (`train.run_stage`). Each worker gets one duplex pipe to its
+parent. Fork, not spawn or forkserver: it starts no server process that
+could outlive the caller, and a worker's call needs no pickling. A stage
+run inside a worker starts no helper (`in_worker`), so at most one busy
+process runs per CPU.
 """
 
 import signal
 import sys
 from contextlib import contextmanager
 
-
 def _exit_on_signal(signum, frame):
     """SIGTERM handler: unwind like an exit, running every `finally`."""
     sys.exit(128 + signum)
 
 
-def _worker_main(body, conn, parent_end, args):
+def serve(conn, call):
+    """Reply to each argument tuple received on `conn` with call(*args), or
+    with the exception it raised; return on EOF or once the parent has
+    gone."""
+    while True:
+        try:
+            args = conn.recv()
+        except EOFError:
+            return
+        try:
+            outcome = call(*args)
+        except Exception as e:
+            outcome = e
+        try:
+            conn.send(outcome)
+        except ConnectionError:
+            return
+
+
+def _worker_main(call, conn, parent_end):
     # Ctrl-C reaches the whole process group; the parent alone handles it
     # and stops its workers with SIGTERM, which unwinds a worker like an
     # exit, so a write in progress removes its temporary file.
@@ -27,32 +49,38 @@ def _worker_main(body, conn, parent_end, args):
     signal.signal(signal.SIGTERM, _exit_on_signal)
     # The fork copied the parent's end of the pipe. While that copy is open
     # the pipe never reads as closed here, so a worker whose parent died
-    # would wait for its next message forever.
+    # would wait for its next message forever. (It also copied the parent's
+    # ends of any earlier worker's pipe: that worker reads EOF only once
+    # this one has exited too, which it does on its own EOF.)
     parent_end.close()
-    body(conn, *args)
+    serve(conn, call)
 
 
-def start(body, *args) -> tuple:
-    """Fork a process that runs body(conn, *args) and returns (process,
-    conn): the two ends of one duplex pipe."""
+def start(call) -> tuple:
+    """Fork a process that serves `call` (`serve`) and return (process,
+    conn), conn being the parent's end of its duplex pipe."""
     # Imported here, not at the top: the modules take about 1 MB that a
     # process which never forks does not need.
     import multiprocessing
 
     fork = multiprocessing.get_context("fork")
     conn, child_end = fork.Pipe()
-    proc = fork.Process(target=_worker_main, args=(body, child_end, conn, args))
+    proc = fork.Process(target=_worker_main, args=(call, child_end, conn))
     proc.start()
     child_end.close()  # so a dead worker reads as EOF, not a hang
     return proc, conn
 
 
-def stop(workers):
-    """Terminate every (process, conn) pair, then join it and close its
-    pipe end."""
-    for proc, _ in workers:
+def stop(busy, idle=()):
+    """End (process, conn) pairs: close the pipes of the idle ones, which
+    return from `serve` on EOF, terminate the busy ones, then join every
+    process and close its pipe end."""
+    busy, idle = list(busy), list(idle)
+    for _, conn in idle:
+        conn.close()
+    for proc, _ in busy:
         proc.terminate()
-    for proc, conn in workers:
+    for proc, conn in busy + idle:
         proc.join()
         conn.close()
 

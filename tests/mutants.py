@@ -81,8 +81,7 @@ MUTANTS = [
       "tests/test_cli.py::test_repeated_training_reuses_freed_memory"]),
     # Stage 0 numbers the pretraining classes as stage 1 reads them.
     ("merlib/cli.py",
-     "_load_in_vocabulary(cfg[\"pretrain_manifest\"],\n"
-     "                                               classes)",
+     "_load_in_vocabulary(cfg[\"pretrain_manifest\"], classes)",
      "_load_manifests([cfg[\"pretrain_manifest\"]])[0]",
      ["tests/test_cli.py::test_two_stage_pretrains_in_training_vocabulary"]),
     # Backward releases each op's output gradient once consumed.
@@ -109,13 +108,13 @@ MUTANTS = [
      ["tests/test_cli.py::test_bad_config_exits_one"]),
     # The stage helper loads each step's parameters before its shards.
     ("merlib/train.py",
-     "            p.data = a\n",
-     "            p.data = p.data\n",
+     "        p.data = a\n",
+     "        p.data = p.data\n",
      ["tests/test_cli.py::test_train_artifacts_do_not_depend_on_cpu_count"]),
     # The helper augments its shards with the step's epoch stream.
     ("merlib/train.py",
-     "outcome = [shard(epoch, idx) for idx in shards]",
-     "outcome = [shard(0, idx) for idx in shards]",
+     "    return [shard(epoch, idx) for idx in shards]\n",
+     "    return [shard(0, idx) for idx in shards]\n",
      ["tests/test_cli.py::test_train_artifacts_do_not_depend_on_cpu_count"]),
     # Each shard's gradient weighs by its share of the batch.
     ("merlib/train.py",
@@ -123,6 +122,28 @@ MUTANTS = [
      "weight = 1 / len(shards)",
      ["tests/test_train.py::TestRunStage::"
       "test_sharded_gradient_equals_single_pass"]),
+    # The worker loop calls with each request's arguments, not the first's.
+    ("merlib/workers.py",
+     "            args = conn.recv()\n",
+     "            args = conn.recv()\n"
+     "            serve.first = getattr(serve, 'first', args)\n"
+     "            args = serve.first\n",
+     ["tests/test_cli.py::test_eval_workers_match_in_process_training",
+      "tests/test_cli.py::test_eval_artifacts_do_not_depend_on_fold_workers"]),
+    # The attention map weighs each branch by its own slice of the weight.
+    ("merlib/tensor.py",
+     "for lo, hi in zip(bounds[:-1], bounds[1:])]\n",
+     "for lo, hi in zip(bounds[:-1], bounds[1:])]\n    ws[-1] = ws[0]\n",
+     ["tests/test_model.py::TestAttentionArithmetic::"
+      "test_map_is_channel_mean_of_full_embedding"]),
+    # A failed fold keeps every later fold from being sent to a worker.
+    ("merlib/cli.py",
+     "while busy or sent < end:\n"
+     "                while idle and sent < end:\n",
+     "while busy or sent < len(folds):\n"
+     "                while idle and sent < len(folds):\n",
+     ["tests/test_cli.py::"
+      "test_eval_later_fold_error_stops_the_folds_after_it"]),
     # PPM headers: width, height and maxval must be ASCII digits.
     ("merlib/imageio.py",
      "if not all(t.isdigit() for t in tokens[1:4]):",

@@ -69,6 +69,15 @@ def small_net_cfg(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture
+def no_worker_starts(monkeypatch):
+    """Fails the test if this process starts a worker."""
+    def refuse(*args):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(workers, "start", refuse)
+
+
 # ---------------------------------------------------------------------------
 # config file handling
 
@@ -92,14 +101,16 @@ def test_config_rejects_unknown_key(tmp_path):
         load_config(str(path))
 
 
-def test_bad_config_exits_one(micro_dir, tmp_path):
+def test_bad_config_exits_one(micro_dir, tmp_path, capsys, no_worker_starts):
     path = tmp_path / "bad.cfg"
     path.write_text("mystery = 1\n")
     rc = main(["gradcheck", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 1
     # A block stride must tile that block's input: 8 - 1 is odd, so stride
-    # 2 fails when the network is specified, before --out is created.
-    path.write_text("input_size = 8\nclasses = 3\nblocks = 2\nstrides = 2,2\n")
+    # 2 fails when the network is specified, before --out is created. The
+    # batch fits the training set, so no other check fails first.
+    path.write_text("input_size = 8\nclasses = 3\nblocks = 2\nstrides = 2,2\n"
+                    "batch_size = 4\n")
     out = tmp_path / "run"
     rc = main(["train", "--manifest", str(micro_dir / "manifest.csv"),
                "--config", str(path), "--out", str(out)])
@@ -119,6 +130,24 @@ def test_bad_config_exits_one(micro_dir, tmp_path):
         assert main([*argv, "--config", str(path), "--out", str(out)]) == 1
         assert not out.exists()
     assert main(["gradcheck", "--config", str(path), "--out", str(out)]) == 0
+    # A batch larger than a stage's training set: both stages of a
+    # two-stage run are checked, the pretraining stage first, before --out
+    # exists.
+    path.write_text("input_size = 8\nclasses = 3\nblocks = 2\n")
+    manifest = str(micro_dir / "manifest.csv")
+    two_stage = tmp_path / "two_stage.cfg"
+    two_stage.write_text(f"input_size = 8\nclasses = 3\nblocks = 2\n"
+                         f"pretrain_manifest = {manifest}\n"
+                         f"pretrain_batch_size = 100\n")
+    capsys.readouterr()
+    out = tmp_path / "oversized"
+    for cfg, flags in ((path, ["--batch-size", "100"]), (two_stage, [])):
+        assert main(["train", "--manifest", manifest, "--config", str(cfg),
+                     "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == (
+            "error: batch size 100 exceeds the 18-sample training set "
+            "(after resampling)\n")
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +539,64 @@ def test_eval_workers_match_in_process_training(micro_dir, small_net_cfg,
 # which fails a test after which a worker process is left, running or not.
 
 def test_eval_fold_error_exits_one_with_its_message(micro_dir, small_net_cfg,
-                                                    tmp_path, capsys):
-    args = eval_args(micro_dir, small_net_cfg, tmp_path / "run")
+                                                    tmp_path, capsys,
+                                                    no_worker_starts):
+    # Every fold's training set is checked, in fold order, before --out
+    # exists and before any worker is forked.
+    out = tmp_path / "run"
+    args = eval_args(micro_dir, small_net_cfg, out)
     args[args.index("--batch-size") + 1] = "100"
     assert main(args) == 1
     captured = capsys.readouterr()
     assert re.fullmatch(r"error: batch size 100 exceeds the \d+-sample "
                         r"training set \(after resampling\)\n", captured.err)
     assert "fold " not in captured.out
+    assert not out.exists()
+
+
+def test_eval_later_fold_error_stops_the_folds_after_it(
+        micro_dir, small_net_cfg, tmp_path, monkeypatch, capsys):
+    # One worker runs every fold; fold 1 fails, so fold 2 is never sent.
+    out = tmp_path / "run"
+    real_train_and_save = cli.train_and_save
+
+    def second_fold_fails(*args, **kwargs):
+        if os.fspath(args[5]).endswith("subject-s01"):
+            raise ConfigError("fold 1 cannot train")
+        return real_train_and_save(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_and_save", second_fold_fails)
+    assert run_on_cpus(monkeypatch, {0},
+                       eval_args(micro_dir, small_net_cfg, out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: fold 1 cannot train\n"
+    assert [ln.split(":")[0] for ln in captured.out.splitlines()] == [
+        "fold subject-s00"]
+    assert sorted(p.name for p in (out / "folds").iterdir()) == [
+        "subject-s00.ckpt", "subject-s00.log"]
+    assert multiprocessing.active_children() == []
+
+
+def test_eval_worker_killed_while_idle_names_its_next_fold(
+        micro_dir, small_net_cfg, tmp_path, monkeypatch, capsys):
+    # The only worker is killed, and has died, while the parent prints
+    # fold 0's line; the parent finds out when it sends fold 1.
+    def kill_workers_on_fold_line(*args, **kwargs):
+        if str(args[0]).startswith("fold "):
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+                deadline = time.monotonic() + 10
+                while (process_state(child.pid) not in (None, "Z")
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+        print(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "print", kill_workers_on_fold_line, raising=False)
+    assert run_on_cpus(monkeypatch, {0}, eval_args(
+        micro_dir, small_net_cfg, tmp_path / "run")) == 2
+    assert capsys.readouterr().err == (
+        "error: fold subject-s01: worker exited with code -9 before sending "
+        "a result\n")
 
 
 def test_eval_write_failure_exits_two_without_temp_files(
@@ -655,7 +734,8 @@ def batch_train_args(data_dir, cfg, out, epochs="3"):
 
 @pytest.fixture
 def helper_starts(monkeypatch):
-    """Counts the stage helpers this process starts."""
+    """Counts the workers (stage helpers, fold workers) this process
+    starts."""
     started = []
     real_start = workers.start
 
@@ -701,6 +781,16 @@ def test_train_artifacts_do_not_depend_on_blas_threads(
         runs.append([read_bytes(out / name)
                      for name in ("stage0.ckpt", "stage0.log")])
     assert runs[0] == runs[1]
+
+
+def test_eval_forks_one_worker_per_cpu(micro_dir, small_net_cfg, tmp_path,
+                                       monkeypatch, helper_starts):
+    # Three folds: one worker on one CPU runs them all, two share them on
+    # two CPUs.
+    for cpus, forks in (({0}, 1), ({0, 1}, 3)):
+        assert run_on_cpus(monkeypatch, cpus, eval_args(
+            micro_dir, small_net_cfg, tmp_path / str(len(cpus)))) == 0
+        assert len(helper_starts) == forks
 
 
 def test_eval_artifacts_do_not_depend_on_fold_workers(

@@ -225,6 +225,41 @@ class TestChannelOps:
         via_concat = tc.channel_mean(tc.channel_concat([x]))
         assert np.array_equal(direct.data, via_concat.data)
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 3), widths=st.lists(st.integers(1, 4), min_size=3,
+                                                max_size=3),
+           h=st.integers(1, 5), w=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_weighted_sum_is_conv_of_concat_by_row_mean(self, n, widths, h, w,
+                                                        seed):
+        # The attention map's op against its definition: the 1x1 conv of
+        # the concatenated branches by the row mean of a [C,C,1,1] weight,
+        # forward and every gradient.
+        rng = np.random.default_rng(seed)
+        c = sum(widths)
+        branches = [rng.uniform(-1, 1, (n, wi, h, w)) for wi in widths]
+        weight = rng.uniform(-1, 1, (c, c, 1, 1))
+        g = tc.Tensor(rng.uniform(-1, 1, (n, 1, h, w)))
+
+        def run(fn):
+            xs = [tc.Tensor(b, requires_grad=True) for b in branches]
+            wt = tc.Tensor(weight, requires_grad=True)
+            with tc.Tape() as tape:
+                out = fn(xs, tc.row_mean(wt))
+                loss = tc.tsum(tc.mul(out, g))
+            tape.backward(loss)
+            return [out.data, wt.grad, *(x.grad for x in xs)]
+
+        got = run(tc.weighted_channel_sum)
+        want = run(lambda xs, v: tc.conv2d(tc.channel_concat(xs), v))
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_weighted_sum_rejects_wrong_weight_width(self):
+        xs = [tc.Tensor(np.zeros((1, 2, 3, 3))) for _ in range(3)]
+        with pytest.raises(ShapeError):
+            tc.weighted_channel_sum(xs, tc.Tensor(np.zeros((1, 5, 1, 1))))
+
     def test_channel_mean_shape_and_value(self):
         x = tc.Tensor(np.stack([np.full((1, 2, 2), 1.0),
                                 np.full((1, 2, 2), 3.0)], axis=1).reshape(1, 2, 2, 2))
@@ -389,6 +424,16 @@ class TestGradCheck:
                                                                tc.channel_mean(t))), c))
         cases.append(("row_mean", lambda t: tc.tsum(tc.mul(tc.row_mean(t),
                                                            tc.row_mean(t))), c))
+        v = tc.Tensor(rng.uniform(-1, 1, (1, 5, 1, 1)))
+
+        def squared_weighted_sum(xs, wv):
+            out = tc.weighted_channel_sum(xs, wv)
+            return tc.tsum(tc.mul(out, out))
+
+        cases.append(("weighted_channel_sum/x",
+                      lambda t: squared_weighted_sum([a, t], v), c))
+        cases.append(("weighted_channel_sum/w",
+                      lambda t: squared_weighted_sum([a, c], t), v))
 
         m = tc.Tensor(rng.uniform(0.5, 1.5, (2, 1, 3, 3)))
         cases.append(("mul/broadcast_map", lambda t: tc.tsum(tc.mul(c, t)), m))
