@@ -12,7 +12,6 @@ import os
 import sys
 import time
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -303,20 +302,17 @@ def cmd_train(args) -> int:
         # classes as stage 1 reads them.
         pre_manifest = _load_in_vocabulary(cfg["pretrain_manifest"], classes)
         pre = preset_from_config(cfg, "pretrain", "pretrain_")
-        stage_training_set(pre_manifest, pre)
-    stage_training_set(train_manifest, preset)
+        stage_training_set(pre_manifest, pre, spec.num_classes)
+    stage_training_set(train_manifest, preset, spec.num_classes)
     stem = os.path.join(args.out, "stage0")
-    # A stage of large batches forks a helper process; a plain `kill` must
-    # reach the `finally` that stops it.
-    with workers.sigterm_exits():
-        if two_stage:
-            train_and_save(spec, pre, pre_manifest, None, seed, stem)
-            init_checkpoint, init_mode = f"{stem}.ckpt", "upgrade"
-            seed, stem = seed + 1, os.path.join(args.out, "stage1")
-        _, log = train_and_save(spec, preset, train_manifest, val_manifest,
-                                seed, stem, attention=attention,
-                                init_checkpoint=init_checkpoint,
-                                init_mode=init_mode)
+    if two_stage:
+        train_and_save(spec, pre, pre_manifest, None, seed, stem)
+        init_checkpoint, init_mode = f"{stem}.ckpt", "upgrade"
+        seed, stem = seed + 1, os.path.join(args.out, "stage1")
+    _, log = train_and_save(spec, preset, train_manifest, val_manifest,
+                            seed, stem, attention=attention,
+                            init_checkpoint=init_checkpoint,
+                            init_mode=init_mode)
     print(f"trained {2 if two_stage else 1} stage(s); final train loss "
           f"{log.records[-1].train_loss!r}, artifacts under {args.out}")
     return 0
@@ -347,77 +343,6 @@ def _protocol_folds(protocol, manifest, cfg):
     raise ConfigError(f"unknown protocol {protocol!r}")
 
 
-def _timed_fold(run_fold, k) -> tuple:
-    """A fold worker's call (`workers.serve`): (run_fold(k), its wall
-    seconds). It prints nothing."""
-    t0 = time.perf_counter()
-    return run_fold(k), time.perf_counter() - t0
-
-
-def _worker_died(fold, worker) -> RuntimeError:
-    """Reap a worker that ended without a result for `fold`; the error
-    `_run_folds` raises for it."""
-    proc, _ = worker
-    workers.stop([worker])
-    return RuntimeError(f"fold {fold.tag}: worker exited with code "
-                        f"{proc.exitcode} before sending a result")
-
-
-def _run_folds(folds, run_fold, report):
-    """Run run_fold(k) for every fold in forked worker processes and call
-    report(k, result, seconds) in fold order as the results arrive.
-
-    Before the first fold, min(available CPUs, folds) workers are forked
-    once; each idle worker is sent the next fold index and runs it, so a
-    worker holds one fold's training memory at a time and later folds pay
-    no fork. A failed fold keeps the folds after it from starting. Once
-    the busy workers have ended, the first failure in fold order is
-    raised, so the folds reported, the exception and the exit code are a
-    serial run's. A worker that dies, busy or idle (found when it is sent
-    its next fold), is a RuntimeError naming the fold it was given. When
-    this returns or raises, idle workers are ended by closing their pipes
-    and busy ones (Ctrl-C, SIGTERM) are terminated (`workers.stop`); while
-    it runs, a plain `kill` reaches that cleanup too
-    (`workers.sigterm_exits`).
-    """
-    from multiprocessing.connection import wait
-
-    width = min(len(os.sched_getaffinity(0)), len(folds))
-    idle, busy, done = [], {}, {}  # workers; conn -> (fold, worker); outcomes
-    end = len(folds)               # folds from the first failure on never start
-    sent = reported = 0
-    with workers.sigterm_exits():
-        try:
-            for _ in range(width):
-                idle.append(workers.start(partial(_timed_fold, run_fold)))
-            while busy or sent < end:
-                while idle and sent < end:
-                    worker = idle.pop()
-                    try:
-                        worker[1].send((sent,))
-                        busy[worker[1]] = sent, worker
-                    except ConnectionError:  # it died while idle
-                        done[sent] = _worker_died(folds[sent], worker)
-                        end = sent
-                    sent += 1
-                for conn in wait(list(busy)) if busy else ():
-                    k, worker = busy.pop(conn)
-                    try:
-                        done[k] = conn.recv()
-                        idle.append(worker)
-                    except EOFError:
-                        done[k] = _worker_died(folds[k], worker)
-                    if isinstance(done[k], Exception):
-                        end = min(end, k)
-                while reported < end and reported in done:
-                    report(reported, *done.pop(reported))
-                    reported += 1
-        finally:
-            workers.stop([w for _, w in busy.values()], idle)
-    if end < len(folds):
-        raise done[end]
-
-
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     _apply_flag_overrides(cfg, args)
@@ -433,11 +358,14 @@ def cmd_eval(args) -> int:
 
     folds = _protocol_folds(args.protocol, manifest, cfg)
     preset = preset_from_config(cfg, args.protocol)
-    # In fold order, so a bad batch size fails with a serial run's message.
+    # In fold order, so a bad training set fails with a serial run's message.
     for fold in folds:
-        stage_training_set(manifest.subset(fold.train), preset)
+        stage_training_set(manifest.subset(fold.train), preset,
+                           spec.num_classes)
 
     def run_fold(k):
+        """A fold worker's call: (fold k's predictions, its wall seconds)."""
+        t0 = time.perf_counter()
         fold = folds[k]
         test = manifest.subset(fold.test)
         model, _ = train_and_save(spec, preset, manifest.subset(fold.train),
@@ -446,19 +374,18 @@ def cmd_eval(args) -> int:
                                   attention=attention,
                                   init_checkpoint=init_checkpoint,
                                   init_mode=init_mode)
-        return predict_classes(model, test)
+        return predict_classes(model, test), time.perf_counter() - t0
 
     fold_predictions = {}
-
-    def report_fold(k, predicted, seconds):
-        fold = folds[k]
-        actual = manifest.subset(fold.test).label_indices()
-        fold_predictions[fold.tag] = (predicted.tolist(), actual.tolist())
-        correct = int((predicted == actual).sum())
-        print(f"fold {fold.tag}: {correct}/{len(actual)} correct "
-              f"({seconds:.2f} s)")
-
-    _run_folds(folds, run_fold, report_fold)
+    with workers.Pool(run_fold, len(folds)) as pool:
+        results = pool.imap((f"fold {fold.tag}", (k,))
+                            for k, fold in enumerate(folds))
+        for fold, (predicted, seconds) in zip(folds, results):
+            actual = manifest.subset(fold.test).label_indices()
+            fold_predictions[fold.tag] = (predicted.tolist(), actual.tolist())
+            correct = int((predicted == actual).sum())
+            print(f"fold {fold.tag}: {correct}/{len(actual)} correct "
+                  f"({seconds:.2f} s)")
     report = aggregate(folds, fold_predictions, manifest.class_names)
     write_atomic(os.path.join(args.out, "report.txt"),
                  render_report(report).encode())
@@ -579,7 +506,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with workers.sigterm_exits():  # so `kill` stops the verb's workers
+            return args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ from (seed, epoch) and each sample's augmentation generator from
 (seed, sample_index, epoch), so the batch stream replays exactly no matter
 how the work is scheduled. Each batch is split into fixed shards of at most
 SHARD_SIZE samples whose gradients are combined in shard order, so a stage
-that computes some shards in a forked helper process (to use a second CPU)
+that computes some shards in forked helper processes (to use more CPUs)
 writes the same bytes as one that computes them all in-process.
 """
 
@@ -243,41 +243,33 @@ def _shard_pass(model: Network, train: Manifest, labels, augment_cfg,
     return loss.item(), {name: p.grad for name, p in params.items()}
 
 
-def _shard_helper(shard, params, arrays, epoch: int, shards) -> list:
-    """A stage helper's call (`workers.serve`): load the step's parameter
-    arrays, then return [shard(epoch, idx) for idx in shards]."""
+def _shard_helper(shard, params, arrays, epoch: int, idx) -> tuple:
+    """A stage helper's call: load the step's parameter arrays, then return
+    shard(epoch, idx)."""
     for p, a in zip(params, arrays):
         p.data = a
-    return [shard(epoch, idx) for idx in shards]
+    return shard(epoch, idx)
 
 
-def _batch_grads(shard, epoch: int, idx, params, helper=None) -> tuple:
+def _batch_grads(shard, epoch: int, idx, params, helpers=None) -> tuple:
     """One step's (loss sum, {name: gradient}) for batch `idx`.
 
     The batch is split, in order, into ceil(b / SHARD_SIZE) near-equal
     shards. The gradient is the sum over shards of (n_s / b) * g_s and the
     loss sum that of n_s * loss_s, both in shard order; a batch of at most
-    SHARD_SIZE is one shard with weight exactly 1. With a `helper` (a
-    (process, conn) pair serving `_shard_helper`) this process computes
-    shard 0 while the helper computes the rest from the same parameters.
+    SHARD_SIZE is one shard with weight exactly 1. With `helpers` (a
+    non-empty `workers.Pool` serving `_shard_helper`) this process computes
+    shard 0 while the helpers compute the rest from the same parameters.
     Failures surface in shard order, as the in-process run raises them.
     """
     shards = np.array_split(idx, math.ceil(len(idx) / SHARD_SIZE))
-    if helper is None or len(shards) == 1:
-        results = [shard(epoch, s) for s in shards]
+    if helpers:
+        arrays = [p.data for p in params.values()]
+        rest = helpers.imap((f"epoch {epoch} shard {i}", (arrays, epoch, s))
+                            for i, s in enumerate(shards[1:], 1))
     else:
-        proc, conn = helper
-        conn.send(([p.data for p in params.values()], epoch, shards[1:]))
-        results = [shard(epoch, shards[0])]
-        try:
-            outcome = conn.recv()
-        except EOFError:
-            proc.join()
-            raise RuntimeError(f"shard helper exited with code "
-                               f"{proc.exitcode} before sending a result")
-        if isinstance(outcome, Exception):
-            raise outcome
-        results += outcome
+        rest = (shard(epoch, s) for s in shards[1:])
+    results = [shard(epoch, shards[0]), *rest]
     loss_sum, grads = 0.0, {}
     for s, (loss, g) in zip(shards, results):
         weight = len(s) / len(idx)
@@ -290,12 +282,18 @@ def _batch_grads(shard, epoch: int, idx, params, helper=None) -> tuple:
     return loss_sum, grads
 
 
-def stage_training_set(train_manifest: Manifest, preset: StagePreset) -> Manifest:
+def stage_training_set(train_manifest: Manifest, preset: StagePreset,
+                       num_classes: int) -> Manifest:
     """The set a stage of `preset` trains on: `train_manifest`, resampled
-    if the preset asks for it. Rejects an empty set and a batch larger than
-    the set, so a caller can check a stage before it starts any work."""
+    if the preset asks for it. Rejects an empty set, a label the network's
+    `num_classes` outputs cannot predict and a batch larger than the set,
+    so a caller can check a stage before it starts any work."""
     if len(train_manifest) == 0:
         raise ConfigError("training set is empty")
+    labels = train_manifest.label_indices()
+    if labels.max() >= num_classes:
+        raise ConfigError(f"manifest has {labels.max() + 1}+ classes, the "
+                          f"network predicts {num_classes}")
     train = resample_balance(train_manifest) if preset.resample else train_manifest
     if preset.batch_size > len(train):
         raise ConfigError(f"batch size {preset.batch_size} exceeds the "
@@ -318,31 +316,24 @@ def run_stage(model: Network, train_manifest: Manifest, val_manifest,
     independent augmentations.
 
     Each step's gradient comes from fixed shards of its batch
-    (`_batch_grads`). When a batch holds more than one shard, the process
-    may run on two or more CPUs and is not itself a worker process, the
-    stage forks one helper that computes every shard but the first; it ends
-    with the stage and writes nothing. Its results are the bytes an
-    in-process run gives, so artifacts depend on (seed, data, preset)
-    only, never on the CPU or BLAS thread count.
+    (`_batch_grads`). This process computes the first shard of every step
+    and the stage's helpers (`workers.Pool`) the others; they end with the
+    stage and write nothing. Their results are the bytes an in-process run
+    gives, so artifacts depend on (seed, data, preset) only, never on the
+    CPU or BLAS thread count.
     """
-    train = stage_training_set(train_manifest, preset)
+    train = stage_training_set(train_manifest, preset, model.spec.num_classes)
     n = len(train)
     params = model.parameters()
     state = OptimState(params)
     schedule = preset.schedule()
     labels = train.label_indices()
-    if labels.max() >= model.spec.num_classes:
-        raise ConfigError(f"manifest has {labels.max() + 1}+ classes, the "
-                          f"network predicts {model.spec.num_classes}")
     log = TrainLog()
     seed = int(seed)
     shard = partial(_shard_pass, model, train, labels, preset.augment, seed)
-    helper = None
-    if (preset.batch_size > SHARD_SIZE and len(os.sched_getaffinity(0)) > 1
-            and not workers.in_worker()):
-        helper = workers.start(partial(_shard_helper, shard,
-                                       list(params.values())))
-    try:
+    with workers.Pool(partial(_shard_helper, shard, list(params.values())),
+                      math.ceil(preset.batch_size / SHARD_SIZE),
+                      caller_works=True) as helpers:
         for epoch in range(preset.epochs):
             lr = lr_at(schedule, epoch)
             val_acc = (evaluate_accuracy(model, val_manifest)
@@ -352,7 +343,8 @@ def run_stage(model: Network, train_manifest: Manifest, val_manifest,
             loss_sum = 0.0
             for start in range(0, n, preset.batch_size):
                 idx = order[start:start + preset.batch_size]
-                batch_loss, grads = _batch_grads(shard, epoch, idx, params, helper)
+                batch_loss, grads = _batch_grads(shard, epoch, idx, params,
+                                                 helpers)
                 sgd_step(params, grads, state, lr, preset.momentum,
                          preset.weight_decay)
                 loss_sum += batch_loss
@@ -360,9 +352,6 @@ def run_stage(model: Network, train_manifest: Manifest, val_manifest,
             log.records.append(EpochRecord(epoch=epoch, lr=lr,
                                            train_loss=loss_sum / n,
                                            val_accuracy=val_acc))
-    finally:
-        if helper is not None:
-            workers.stop([helper])
     return model, log
 
 

@@ -1,21 +1,24 @@
-"""Forked worker processes: how merlib starts, stops and talks to them.
+"""Forked worker processes: the one pool that `eval`'s folds and a training
+stage's shards run on.
 
-Every worker runs one loop, `serve`: it receives an argument tuple, replies
-with the result of its call or with the exception the call raised, and
-returns once its parent closes the pipe. `eval` forks its fold workers once
-per available CPU before the first fold and sends each idle one the next
-fold index (`cli._run_folds`); a training stage whose batches hold more
-than one shard forks one helper that computes all but the first shard of
-every step (`train.run_stage`). Each worker gets one duplex pipe to its
-parent. Fork, not spawn or forkserver: it starts no server process that
-could outlive the caller, and a worker's call needs no pickling. A stage
-run inside a worker starts no helper (`in_worker`), so at most one busy
-process runs per CPU.
+A `Pool` forks its workers when it is made, sized by one CPU rule: at most
+one busy process per CPU in the affinity set (`os.sched_getaffinity`), and
+never more processes than tasks. So `eval`, whose own process only waits,
+forks min(CPUs, folds) workers; a stage, whose own process computes each
+batch's first shard, forks min(CPUs, shards) - 1 helpers; and a process
+that is itself a worker forks none. Every worker runs one loop, `serve`,
+over one duplex pipe to its parent. Fork, not spawn or forkserver: it
+starts no server process that could outlive the caller, and a worker's
+call needs no pickling.
 """
 
+import os
 import signal
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+
+_in_worker = False  # set in every process `start` forks
+
 
 def _exit_on_signal(signum, frame):
     """SIGTERM handler: unwind like an exit, running every `finally`."""
@@ -25,11 +28,11 @@ def _exit_on_signal(signum, frame):
 def serve(conn, call):
     """Reply to each argument tuple received on `conn` with call(*args), or
     with the exception it raised; return on EOF or once the parent has
-    gone."""
+    gone (a parent gone with a reply unread reads as a reset, not EOF)."""
     while True:
         try:
             args = conn.recv()
-        except EOFError:
+        except (EOFError, ConnectionError):
             return
         try:
             outcome = call(*args)
@@ -42,6 +45,8 @@ def serve(conn, call):
 
 
 def _worker_main(call, conn, parent_end):
+    global _in_worker
+    _in_worker = True
     # Ctrl-C reaches the whole process group; the parent alone handles it
     # and stops its workers with SIGTERM, which unwinds a worker like an
     # exit, so a write in progress removes its temporary file.
@@ -71,20 +76,6 @@ def start(call) -> tuple:
     return proc, conn
 
 
-def stop(busy, idle=()):
-    """End (process, conn) pairs: close the pipes of the idle ones, which
-    return from `serve` on EOF, terminate the busy ones, then join every
-    process and close its pipe end."""
-    busy, idle = list(busy), list(idle)
-    for _, conn in idle:
-        conn.close()
-    for proc, _ in busy:
-        proc.terminate()
-    for proc, conn in busy + idle:
-        proc.join()
-        conn.close()
-
-
 @contextmanager
 def sigterm_exits():
     """While the block runs, SIGTERM raises SystemExit, so a plain `kill`
@@ -97,9 +88,95 @@ def sigterm_exits():
         signal.signal(signal.SIGTERM, previous)
 
 
-def in_worker() -> bool:
-    """True in a process that multiprocessing started, such as an `eval`
-    fold worker."""
-    import multiprocessing
+class Pool:
+    """Worker processes serving `call`, for up to `tasks` tasks at a time,
+    `caller_works` of them run by the caller's own process; false when it
+    has no workers. Use it as a context manager: on the way out, idle
+    workers are ended by closing their pipes and busy ones are terminated.
+    """
 
-    return multiprocessing.parent_process() is not None
+    def __init__(self, call, tasks: int, caller_works: bool = False):
+        width = 0 if _in_worker else min(len(os.sched_getaffinity(0)), tasks)
+        self.idle, self.busy = [], {}  # workers; conn -> (task, worker)
+        try:
+            for _ in range(width - caller_works):
+                self.idle.append(start(call))
+        except BaseException:
+            self.close()
+            raise
+
+    def __len__(self):
+        return len(self.idle) + len(self.busy)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        busy = [worker for _, worker in self.busy.values()]
+        for _, conn in self.idle:
+            conn.close()  # `serve` returns on EOF
+        for proc, _ in busy:
+            proc.terminate()
+        for proc, conn in busy + self.idle:
+            proc.join()
+            conn.close()
+        self.idle, self.busy = [], {}
+
+    def imap(self, tasks):
+        """Send (name, argument tuple) tasks to idle workers, the first ones
+        now; return an iterator over their results in task order.
+
+        A task that raises stops the tasks after it from being sent; once
+        the busy workers have finished, its exception is raised, as running
+        the tasks one after another in-process would. A worker that ends
+        without a result, busy or when sent its next task, is a
+        RuntimeError naming that task. Needs a worker; one imap at a time.
+        """
+        self.tasks, self.done = list(tasks), {}  # done: task -> outcome
+        self.end = len(self.tasks)  # tasks from the first failure on are never sent
+        self.sent = 0
+        self._send_to_idle()
+        return self._in_order()
+
+    def _in_order(self):
+        for k in range(len(self.tasks)):
+            while k not in self.done:  # then task k is busy
+                self._receive()
+                self._send_to_idle()
+            if k == self.end:
+                while self.busy:
+                    self._receive()
+                raise self.done[k]
+            yield self.done.pop(k)
+
+    def _send_to_idle(self):
+        while self.idle and self.sent < self.end:
+            worker, k = self.idle.pop(), self.sent
+            self.sent += 1
+            # A worker that died while idle fails this send; its pipe then
+            # reads as closed in `_receive`, as a busy worker's would.
+            with suppress(ConnectionError):
+                worker[1].send(self.tasks[k][1])
+            self.busy[worker[1]] = k, worker
+
+    def _receive(self):
+        """Wait for a busy worker, and take the outcome of every one that
+        has replied or died."""
+        from multiprocessing.connection import wait
+
+        for conn in wait(list(self.busy)):
+            k, (proc, _) = self.busy.pop(conn)
+            try:
+                self.done[k] = conn.recv()
+                self.idle.append((proc, conn))
+            except (EOFError, ConnectionError):  # it has exited
+                proc.join()
+                conn.close()
+                self.done[k] = RuntimeError(
+                    f"{self.tasks[k][0]}: worker exited with code "
+                    f"{proc.exitcode} before sending a result")
+            if isinstance(self.done[k], Exception):
+                self.end = min(self.end, k)

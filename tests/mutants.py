@@ -111,10 +111,10 @@ MUTANTS = [
      "        p.data = a\n",
      "        p.data = p.data\n",
      ["tests/test_cli.py::test_train_artifacts_do_not_depend_on_cpu_count"]),
-    # The helper augments its shards with the step's epoch stream.
+    # The helper augments its shard with the step's epoch stream.
     ("merlib/train.py",
-     "    return [shard(epoch, idx) for idx in shards]\n",
-     "    return [shard(0, idx) for idx in shards]\n",
+     "    return shard(epoch, idx)\n",
+     "    return shard(0, idx)\n",
      ["tests/test_cli.py::test_train_artifacts_do_not_depend_on_cpu_count"]),
     # Each shard's gradient weighs by its share of the batch.
     ("merlib/train.py",
@@ -136,14 +136,26 @@ MUTANTS = [
      "for lo, hi in zip(bounds[:-1], bounds[1:])]\n    ws[-1] = ws[0]\n",
      ["tests/test_model.py::TestAttentionArithmetic::"
       "test_map_is_channel_mean_of_full_embedding"]),
-    # A failed fold keeps every later fold from being sent to a worker.
-    ("merlib/cli.py",
-     "while busy or sent < end:\n"
-     "                while idle and sent < end:\n",
-     "while busy or sent < len(folds):\n"
-     "                while idle and sent < len(folds):\n",
+    # A failed task keeps every later task from being sent to a worker.
+    ("merlib/workers.py",
+     "while self.idle and self.sent < self.end:",
+     "while self.idle and self.sent < len(self.tasks):",
      ["tests/test_cli.py::"
       "test_eval_later_fold_error_stops_the_folds_after_it"]),
+    # The pool yields results in task order, not in the order they arrive.
+    ("merlib/workers.py",
+     "            k, (proc, _) = self.busy.pop(conn)\n",
+     "            k, (proc, _) = self.busy.pop(conn)\n"
+     "            k = self.arrived = getattr(self, 'arrived', -1) + 1\n",
+     ["tests/test_workers.py::test_pool_yields_results_in_task_order"]),
+    # A worker found dead when it is sent a task is reported by that task's
+    # name, not as the send's BrokenPipeError.
+    ("merlib/workers.py",
+     "            with suppress(ConnectionError):\n",
+     "            with suppress():\n",
+     ["tests/test_cli.py::test_train_dead_helper_exits_two_naming_its_shard",
+      "tests/test_cli.py::"
+      "test_eval_worker_killed_while_idle_names_its_next_fold"]),
     # PPM headers: width, height and maxval must be ASCII digits.
     ("merlib/imageio.py",
      "if not all(t.isdigit() for t in tokens[1:4]):",

@@ -23,6 +23,7 @@ import merlib
 import merlib.cli as cli
 import merlib.model as model_module
 import merlib.tensor as tc
+import merlib.train as train_module
 import merlib.workers as workers
 from merlib.cli import (_DEFAULTS, build_parser, gradcheck_table,
                         load_config, main, network_from_config,
@@ -147,6 +148,14 @@ def test_bad_config_exits_one(micro_dir, tmp_path, capsys, no_worker_starts):
         assert capsys.readouterr().err == (
             "error: batch size 100 exceeds the 18-sample training set "
             "(after resampling)\n")
+        assert not out.exists()
+    # A label the network cannot predict: 3 classes for a 2-class head.
+    path.write_text("input_size = 8\nclasses = 2\nblocks = 2\nbatch_size = 4\n")
+    for argv in (["train", "--manifest", manifest],
+                 ["eval", "--protocol", "loso", "--manifest", manifest]):
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: manifest has 3+ classes, the network predicts 2\n")
         assert not out.exists()
 
 
@@ -583,12 +592,7 @@ def test_eval_worker_killed_while_idle_names_its_next_fold(
     # fold 0's line; the parent finds out when it sends fold 1.
     def kill_workers_on_fold_line(*args, **kwargs):
         if str(args[0]).startswith("fold "):
-            for child in multiprocessing.active_children():
-                os.kill(child.pid, signal.SIGKILL)
-                deadline = time.monotonic() + 10
-                while (process_state(child.pid) not in (None, "Z")
-                       and time.monotonic() < deadline):
-                    time.sleep(0.01)
+            kill_children()
         print(*args, **kwargs)
 
     monkeypatch.setattr(cli, "print", kill_workers_on_fold_line, raising=False)
@@ -668,6 +672,17 @@ def process_state(pid):
             return fh.read().rsplit(")", 1)[1].split()[0]
     except FileNotFoundError:
         return None
+
+
+def kill_children():
+    """SIGKILL every child process of this one and wait until each has
+    died."""
+    for child in multiprocessing.active_children():
+        os.kill(child.pid, signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while (process_state(child.pid) not in (None, "Z")
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
 
 
 def test_eval_sigterm_stops_running_workers(micro_dir, small_net_cfg,
@@ -765,6 +780,19 @@ def test_train_artifacts_do_not_depend_on_cpu_count(
     assert len(helper_starts) == 1
     for name in ("stage0.ckpt", "stage0.log"):
         assert read_bytes(one / name) == read_bytes(two / name), name
+    # Batches of 70 of 72 samples are three shards: on three CPUs two
+    # helpers compute one each.
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--classes", "3", "--subjects",
+                 "3", "--per-class", "8", "--size", "8", "--seed", "8"]) == 0
+    helper_starts.clear()
+    outs = [tmp_path / "three-shards-one", tmp_path / "three-shards-three"]
+    for cpus, out in zip(({0}, {0, 1, 2}), outs):
+        argv = batch_train_args(data, small_net_cfg, out)
+        assert run_on_cpus(monkeypatch, cpus, [*argv, "--batch-size", "70"]) == 0
+    assert len(helper_starts) == 2
+    for name in ("stage0.ckpt", "stage0.log"):
+        assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name), name
 
 
 def test_train_artifacts_do_not_depend_on_blas_threads(
@@ -848,6 +876,38 @@ def test_helper_shard_error_exits_as_in_process(batch_dir, small_net_cfg,
     assert outcomes[0] == outcomes[1]
     assert outcomes[0] == (1, f"error: {path}: raster has 182 bytes, "
                               f"needs 192\n")
+
+
+@pytest.mark.parametrize("when", ["idle", "busy"])
+def test_train_dead_helper_exits_two_naming_its_shard(
+        batch_dir, small_net_cfg, tmp_path, monkeypatch, capsys, when):
+    # The helper dies between steps, found when it is sent epoch 1's second
+    # shard, or while it computes epoch 0's.
+    real_sgd_step = train_module.sgd_step
+    real_shard_pass = train_module._shard_pass
+
+    def sgd_step(*args, **kwargs):
+        kill_children()
+        return real_sgd_step(*args, **kwargs)
+
+    def shard_pass(*args):
+        if multiprocessing.parent_process() is None:
+            kill_children()
+        else:
+            time.sleep(60)  # the helper never finishes its shard
+        return real_shard_pass(*args)
+
+    if when == "idle":
+        monkeypatch.setattr(train_module, "sgd_step", sgd_step)
+    else:
+        monkeypatch.setattr(train_module, "_shard_pass", shard_pass)
+    assert run_on_cpus(monkeypatch, {0, 1}, batch_train_args(
+        batch_dir, small_net_cfg, tmp_path / "run")) == 2
+    epoch = 1 if when == "idle" else 0
+    assert capsys.readouterr().err == (
+        f"error: epoch {epoch} shard 1: worker exited with code -9 before "
+        f"sending a result\n")
+    assert multiprocessing.active_children() == []
 
 
 def start_training_session(args):
