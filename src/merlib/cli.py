@@ -409,6 +409,9 @@ def _normalize_map(arr: np.ndarray) -> np.ndarray:
 def cmd_visualize(args) -> int:
     model = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     _reads_images(model.spec)
+    if not model.spec.blocks:
+        raise ValidationError(f"{args.checkpoint}: network has no blocks, so "
+                              f"no attention maps to visualize")
     image = read_image(_require_file(args.image, "image"))
     _, h, w = model.spec.input_shape
     x = tc.Tensor(prepare_input(image, model.spec.input_shape)[None])

@@ -8,8 +8,8 @@ from (seed, epoch) and each sample's augmentation generator from
 (seed, sample_index, epoch), so the batch stream replays exactly no matter
 how the work is scheduled. Each batch is split into fixed shards of at most
 SHARD_SIZE samples whose gradients are combined in shard order, so a stage
-that computes some shards in forked helper processes (to use more CPUs)
-writes the same bytes as one that computes them all in-process.
+that computes its shards in forked helper processes (to use more CPUs)
+writes the same bytes as one that computes them in-process.
 """
 
 import math
@@ -226,16 +226,20 @@ SHARD_SIZE = 32
 
 
 def _shard_pass(model: Network, train: Manifest, labels, augment_cfg,
-                seed: int, epoch: int, idx) -> tuple:
-    """Assemble shard `idx` of an epoch-`epoch` batch (decode, plus the
-    augmentation of (seed, sample, epoch)), run its forward and backward
-    pass, and return (its mean loss, {parameter name: gradient})."""
+                seed: int, arrays, epoch: int, idx) -> tuple:
+    """A stage's task: load the step's parameter arrays into `model` (in the
+    stage's own process they already are its arrays), assemble shard `idx`
+    of an epoch-`epoch` batch (decode, plus the augmentation of (seed,
+    sample, epoch)), run its forward and backward pass, and return (its mean
+    loss, {parameter name: gradient})."""
     def sample_rng(i):
         return np.random.default_rng(np.random.SeedSequence((seed, int(i), epoch)))
 
+    params = model.parameters()
+    for p, a in zip(params.values(), arrays):
+        p.data = a
     x = _batch_array(train, idx, model.spec.input_shape,
                      augment_cfg=augment_cfg, rng_for=sample_rng)
-    params = model.parameters()
     model.zero_grads()
     with tc.Tape() as tape:
         loss = tc.softmax_cross_entropy(model.forward(tc.Tensor(x)), labels[idx])
@@ -243,33 +247,21 @@ def _shard_pass(model: Network, train: Manifest, labels, augment_cfg,
     return loss.item(), {name: p.grad for name, p in params.items()}
 
 
-def _shard_helper(shard, params, arrays, epoch: int, idx) -> tuple:
-    """A stage helper's call: load the step's parameter arrays, then return
-    shard(epoch, idx)."""
-    for p, a in zip(params, arrays):
-        p.data = a
-    return shard(epoch, idx)
-
-
-def _batch_grads(shard, epoch: int, idx, params, helpers=None) -> tuple:
-    """One step's (loss sum, {name: gradient}) for batch `idx`.
+def _batch_grads(epoch: int, idx, params, pool) -> tuple:
+    """One step's (loss sum, {name: gradient}) for batch `idx`, its shards
+    computed by `pool` (a `workers.Pool` serving `_shard_pass`) from the
+    current arrays of `params`.
 
     The batch is split, in order, into ceil(b / SHARD_SIZE) near-equal
     shards. The gradient is the sum over shards of (n_s / b) * g_s and the
     loss sum that of n_s * loss_s, both in shard order; a batch of at most
-    SHARD_SIZE is one shard with weight exactly 1. With `helpers` (a
-    non-empty `workers.Pool` serving `_shard_helper`) this process computes
-    shard 0 while the helpers compute the rest from the same parameters.
-    Failures surface in shard order, as the in-process run raises them.
+    SHARD_SIZE is one shard with weight exactly 1. Failures surface in shard
+    order, as an in-process run raises them.
     """
     shards = np.array_split(idx, math.ceil(len(idx) / SHARD_SIZE))
-    if helpers:
-        arrays = [p.data for p in params.values()]
-        rest = helpers.imap((f"epoch {epoch} shard {i}", (arrays, epoch, s))
-                            for i, s in enumerate(shards[1:], 1))
-    else:
-        rest = (shard(epoch, s) for s in shards[1:])
-    results = [shard(epoch, shards[0]), *rest]
+    arrays = [p.data for p in params.values()]
+    results = pool.imap((f"epoch {epoch} shard {i}", (arrays, epoch, s))
+                        for i, s in enumerate(shards))
     loss_sum, grads = 0.0, {}
     for s, (loss, g) in zip(shards, results):
         weight = len(s) / len(idx)
@@ -316,11 +308,10 @@ def run_stage(model: Network, train_manifest: Manifest, val_manifest,
     independent augmentations.
 
     Each step's gradient comes from fixed shards of its batch
-    (`_batch_grads`). This process computes the first shard of every step
-    and the stage's helpers (`workers.Pool`) the others; they end with the
-    stage and write nothing. Their results are the bytes an in-process run
-    gives, so artifacts depend on (seed, data, preset) only, never on the
-    CPU or BLAS thread count.
+    (`_batch_grads`), computed by the stage's `workers.Pool`: in this
+    process, or in forked helpers that end with the stage and write
+    nothing. Either way the results are the same bytes, so artifacts depend
+    on (seed, data, preset) only, never on the CPU or BLAS thread count.
     """
     train = stage_training_set(train_manifest, preset, model.spec.num_classes)
     n = len(train)
@@ -330,10 +321,9 @@ def run_stage(model: Network, train_manifest: Manifest, val_manifest,
     labels = train.label_indices()
     log = TrainLog()
     seed = int(seed)
-    shard = partial(_shard_pass, model, train, labels, preset.augment, seed)
-    with workers.Pool(partial(_shard_helper, shard, list(params.values())),
-                      math.ceil(preset.batch_size / SHARD_SIZE),
-                      caller_works=True) as helpers:
+    with workers.Pool(partial(_shard_pass, model, train, labels,
+                              preset.augment, seed),
+                      math.ceil(preset.batch_size / SHARD_SIZE)) as pool:
         for epoch in range(preset.epochs):
             lr = lr_at(schedule, epoch)
             val_acc = (evaluate_accuracy(model, val_manifest)
@@ -343,8 +333,7 @@ def run_stage(model: Network, train_manifest: Manifest, val_manifest,
             loss_sum = 0.0
             for start in range(0, n, preset.batch_size):
                 idx = order[start:start + preset.batch_size]
-                batch_loss, grads = _batch_grads(shard, epoch, idx, params,
-                                                 helpers)
+                batch_loss, grads = _batch_grads(epoch, idx, params, pool)
                 sgd_step(params, grads, state, lr, preset.momentum,
                          preset.weight_decay)
                 loss_sum += batch_loss

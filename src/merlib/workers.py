@@ -1,15 +1,14 @@
 """Forked worker processes: the one pool that `eval`'s folds and a training
 stage's shards run on.
 
-A `Pool` forks its workers when it is made, sized by one CPU rule: at most
-one busy process per CPU in the affinity set (`os.sched_getaffinity`), and
-never more processes than tasks. So `eval`, whose own process only waits,
-forks min(CPUs, folds) workers; a stage, whose own process computes each
-batch's first shard, forks min(CPUs, shards) - 1 helpers; and a process
-that is itself a worker forks none. Every worker runs one loop, `serve`,
-over one duplex pipe to its parent. Fork, not spawn or forkserver: it
-starts no server process that could outlive the caller, and a worker's
-call needs no pickling.
+A `Pool` is sized by one rule: its width is min(CPUs in the affinity set
+(`os.sched_getaffinity`), tasks), and 0 in a process that is itself a
+worker. It forks only when two tasks can run at once: at width 2 or more it
+forks `width` workers, and the caller's own process only sends tasks, waits
+and collects results; below that it forks nothing and runs each task itself.
+Every worker runs one loop, `serve`, over one duplex pipe to its parent.
+Fork, not spawn or forkserver: it starts no server process that could
+outlive the caller, and a worker's call needs no pickling.
 """
 
 import os
@@ -89,24 +88,22 @@ def sigterm_exits():
 
 
 class Pool:
-    """Worker processes serving `call`, for up to `tasks` tasks at a time,
-    `caller_works` of them run by the caller's own process; false when it
-    has no workers. Use it as a context manager: on the way out, idle
+    """`call` run on up to `tasks` tasks at a time, in `width` forked workers
+    when the width (see the module docstring) is 2 or more, in the caller's
+    own process otherwise. Use it as a context manager: on the way out, idle
     workers are ended by closing their pipes and busy ones are terminated.
     """
 
-    def __init__(self, call, tasks: int, caller_works: bool = False):
+    def __init__(self, call, tasks: int):
         width = 0 if _in_worker else min(len(os.sched_getaffinity(0)), tasks)
+        self.call, self.forks = call, width > 1
         self.idle, self.busy = [], {}  # workers; conn -> (task, worker)
         try:
-            for _ in range(width - caller_works):
+            for _ in range(width if self.forks else 0):
                 self.idle.append(start(call))
         except BaseException:
             self.close()
             raise
-
-    def __len__(self):
-        return len(self.idle) + len(self.busy)
 
     def __enter__(self):
         return self
@@ -126,15 +123,20 @@ class Pool:
         self.idle, self.busy = [], {}
 
     def imap(self, tasks):
-        """Send (name, argument tuple) tasks to idle workers, the first ones
-        now; return an iterator over their results in task order.
+        """Run (name, argument tuple) tasks; return an iterator over their
+        results in task order.
 
-        A task that raises stops the tasks after it from being sent; once
-        the busy workers have finished, its exception is raised, as running
-        the tasks one after another in-process would. A worker that ends
-        without a result, busy or when sent its next task, is a
-        RuntimeError naming that task. Needs a worker; one imap at a time.
+        Without workers, each task runs in this process when the iterator
+        reaches it. With workers, the first tasks are sent to them now and
+        the others as workers come free. Either way, a task that raises
+        stops the tasks after it from running, and its exception is raised
+        in its place (once the busy workers have finished), as running the
+        tasks one after another in-process would. A worker that ends without
+        a result, busy or when sent its next task, is a RuntimeError naming
+        that task. One imap at a time.
         """
+        if not self.forks:
+            return (self.call(*args) for _, args in tasks)
         self.tasks, self.done = list(tasks), {}  # done: task -> outcome
         self.end = len(self.tasks)  # tasks from the first failure on are never sent
         self.sent = 0

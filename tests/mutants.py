@@ -9,18 +9,25 @@ The named tests first run once on an unmodified copy, where they must all
 pass. Then each mutant is applied alone to that copy, and its tests run
 with PYTHONPATH pointing at it; at least one of them must fail. The
 script exits 1 if a mutant survives, if a test errors out instead of
-failing, or if a snippet is no longer found exactly once in its file (a
-refactor moved the code: update the entry). Tier-1 does not run this; it
-is its own CI step. Only fast tests belong here.
+failing, if a run of tests takes longer than TIMEOUT seconds (a mutant
+that deadlocks), or if a snippet is no longer found exactly once in its
+file (a refactor moved the code: update the entry). Tier-1 does not run
+this; it is its own CI step. Only fast tests belong here.
 """
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+from contextlib import suppress
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Seconds one run of tests may take, the unmodified run of every named test
+# included.
+TIMEOUT = 300
 
 # (file under src/, exact snippet, replacement, test ids that must fail)
 MUTANTS = [
@@ -106,16 +113,18 @@ MUTANTS = [
      "if (h - 1) % b.stride or (w - 1) % b.stride:",
      "if False:",
      ["tests/test_cli.py::test_bad_config_exits_one"]),
-    # The stage helper loads each step's parameters before its shards.
+    # A shard pass loads the step's parameters, which a helper forked at
+    # the stage's start does not have.
     ("merlib/train.py",
      "        p.data = a\n",
      "        p.data = p.data\n",
      ["tests/test_cli.py::test_train_artifacts_do_not_depend_on_cpu_count"]),
-    # The helper augments its shard with the step's epoch stream.
+    # Every shard is augmented with its step's epoch stream.
     ("merlib/train.py",
-     "    return shard(epoch, idx)\n",
-     "    return shard(0, idx)\n",
-     ["tests/test_cli.py::test_train_artifacts_do_not_depend_on_cpu_count"]),
+     "(arrays, epoch, s)",
+     "(arrays, 0, s)",
+     ["tests/test_train.py::TestRunStage::"
+      "test_sharded_gradient_equals_single_pass"]),
     # Each shard's gradient weighs by its share of the batch.
     ("merlib/train.py",
      "weight = len(s) / len(idx)",
@@ -156,6 +165,17 @@ MUTANTS = [
      ["tests/test_cli.py::test_train_dead_helper_exits_two_naming_its_shard",
       "tests/test_cli.py::"
       "test_eval_worker_killed_while_idle_names_its_next_fold"]),
+    # A pool forks only when two tasks can run at once.
+    ("merlib/workers.py",
+     "self.call, self.forks = call, width > 1",
+     "self.call, self.forks = call, width > 0",
+     ["tests/test_workers.py::test_pool_of_width_one_runs_tasks_in_the_caller"]),
+    # A pool without workers runs each task only when its result is asked
+    # for, so a failed task keeps the tasks after it from running.
+    ("merlib/workers.py",
+     "return (self.call(*args) for _, args in tasks)",
+     "return iter([self.call(*args) for _, args in tasks])",
+     ["tests/test_workers.py::test_pool_of_width_one_runs_tasks_in_the_caller"]),
     # PPM headers: width, height and maxval must be ASCII digits.
     ("merlib/imageio.py",
      "if not all(t.isdigit() for t in tokens[1:4]):",
@@ -166,15 +186,29 @@ MUTANTS = [
 ]
 
 
-def run_tests(src, test_ids) -> int:
-    """pytest's exit code for test_ids run against the package under src."""
+def run_tests(src, test_ids):
+    """pytest's exit code for test_ids run against the package under src, or
+    None if they ran longer than TIMEOUT seconds."""
     # No bytecode cache: a mutant and its restored original can share a
     # size and an mtime second, which would let a stale .pyc run.
     env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            *test_ids]
-    return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    # In its own process group, so that a timeout reaches the worker
+    # processes the tests forked too. SIGINT first: pytest unwinds, and each
+    # test's cleanup ends the processes it started in sessions of their
+    # own; then SIGKILL ends whatever is left of the group.
+    proc = subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        return proc.wait(timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        for sig in (signal.SIGINT, signal.SIGKILL):
+            with suppress(ProcessLookupError):
+                os.killpg(proc.pid, sig)
+            with suppress(subprocess.TimeoutExpired):
+                proc.wait(timeout=10)
+        return None
 
 
 def main() -> int:
@@ -185,6 +219,9 @@ def main() -> int:
                         ignore=shutil.ignore_patterns("__pycache__"))
         every_test = sorted({t for *_, tests in MUTANTS for t in tests})
         code = run_tests(src, every_test)
+        if code is None:
+            print(f"unmodified source: timed out after {TIMEOUT} s")
+            return 1
         if code != 0:
             print(f"unmodified source: named tests exit {code}, expected 0")
             return 1
@@ -205,8 +242,10 @@ def main() -> int:
                 with open(path, "w") as fh:
                     fh.write(original)
             # pytest exits 1 when a test failed; anything else (errors,
-            # nothing collected) says nothing about the mutant.
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
+            # nothing collected, a timeout) says nothing about the mutant.
+            verdict = {0: "SURVIVED", 1: "killed",
+                       None: f"timed out after {TIMEOUT} s"}.get(
+                           code, f"pytest exit {code}")
             print(f"mutant {n} ({rel}): {verdict}")
             if code != 1:
                 failures.append(f"mutant {n} ({rel}): {verdict}: {snippet!r}")

@@ -6,6 +6,7 @@ so the suite stays fast while still exercising the real command paths.
 
 import argparse
 import multiprocessing
+import multiprocessing.connection
 import os
 import platform
 import re
@@ -518,11 +519,12 @@ def test_eval_seed_changes_fold_models(micro_dir, small_net_cfg, tmp_path):
 
 
 def test_eval_workers_match_in_process_training(micro_dir, small_net_cfg,
-                                                tmp_path, capsys):
-    # Each fold trains in its own worker process; its checkpoint, log and
-    # predictions must be those of the same fold trained in this process.
+                                                tmp_path, monkeypatch, capsys):
+    # On two CPUs each fold trains in a worker process; its checkpoint, log
+    # and predictions must be those of the same fold trained in this process.
     out = tmp_path / "workers"
-    assert main(eval_args(micro_dir, small_net_cfg, out)) == 0
+    assert run_on_cpus(monkeypatch, {0, 1},
+                       eval_args(micro_dir, small_net_cfg, out)) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines()
              if ln.startswith("fold ")]
     manifest = load_manifest(str(micro_dir / "manifest.csv"))
@@ -565,17 +567,28 @@ def test_eval_fold_error_exits_one_with_its_message(micro_dir, small_net_cfg,
 
 def test_eval_later_fold_error_stops_the_folds_after_it(
         micro_dir, small_net_cfg, tmp_path, monkeypatch, capsys):
-    # One worker runs every fold; fold 1 fails, so fold 2 is never sent.
+    # Two workers start folds 0 and 1, and fold 1 fails. Fold 0 finishes
+    # only once the parent has taken that failure, so fold 2 is never sent.
     out = tmp_path / "run"
-    real_train_and_save = cli.train_and_save
+    failure_taken = tmp_path / "failure-taken"
+    real_train_and_save, real_receive = cli.train_and_save, workers.Pool._receive
 
     def second_fold_fails(*args, **kwargs):
         if os.fspath(args[5]).endswith("subject-s01"):
             raise ConfigError("fold 1 cannot train")
+        deadline = time.monotonic() + 30
+        while not failure_taken.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
         return real_train_and_save(*args, **kwargs)
 
+    def receive(pool):
+        real_receive(pool)
+        if pool.end < len(pool.tasks):
+            failure_taken.touch()
+
     monkeypatch.setattr(cli, "train_and_save", second_fold_fails)
-    assert run_on_cpus(monkeypatch, {0},
+    monkeypatch.setattr(workers.Pool, "_receive", receive)
+    assert run_on_cpus(monkeypatch, {0, 1},
                        eval_args(micro_dir, small_net_cfg, out)) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: fold 1 cannot train\n"
@@ -588,18 +601,24 @@ def test_eval_later_fold_error_stops_the_folds_after_it(
 
 def test_eval_worker_killed_while_idle_names_its_next_fold(
         micro_dir, small_net_cfg, tmp_path, monkeypatch, capsys):
-    # The only worker is killed, and has died, while the parent prints
-    # fold 0's line; the parent finds out when it sends fold 1.
-    def kill_workers_on_fold_line(*args, **kwargs):
-        if str(args[0]).startswith("fold "):
-            kill_children()
-        print(*args, **kwargs)
+    # Both workers are killed, and have died, while they wait for their
+    # first fold; the parent finds out when it sends them folds 0 and 1.
+    real_start = workers.start
 
-    monkeypatch.setattr(cli, "print", kill_workers_on_fold_line, raising=False)
-    assert run_on_cpus(monkeypatch, {0}, eval_args(
+    def start_then_kill(call):
+        proc, conn = real_start(call)
+        os.kill(proc.pid, signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while (process_state(proc.pid) not in (None, "Z")
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        return proc, conn
+
+    monkeypatch.setattr(workers, "start", start_then_kill)
+    assert run_on_cpus(monkeypatch, {0, 1}, eval_args(
         micro_dir, small_net_cfg, tmp_path / "run")) == 2
     assert capsys.readouterr().err == (
-        "error: fold subject-s01: worker exited with code -9 before sending "
+        "error: fold subject-s00: worker exited with code -9 before sending "
         "a result\n")
 
 
@@ -616,7 +635,8 @@ def test_eval_dead_worker_exits_two_naming_its_fold(micro_dir, small_net_cfg,
                                                     capsys):
     # Every worker dies without a word; the first fold's death is reported.
     monkeypatch.setattr(cli, "train_and_save", lambda *a, **k: os._exit(3))
-    assert main(eval_args(micro_dir, small_net_cfg, tmp_path / "run")) == 2
+    assert run_on_cpus(monkeypatch, {0, 1}, eval_args(
+        micro_dir, small_net_cfg, tmp_path / "run")) == 2
     assert capsys.readouterr().err == (
         "error: fold subject-s00: worker exited with code 3 before sending "
         "a result\n")
@@ -685,6 +705,24 @@ def kill_children():
             time.sleep(0.01)
 
 
+# `merlib` as its command line runs it, in a subprocess that sees two CPUs
+# whatever the machine has, so that its verb forks workers.
+ON_TWO_CPUS = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from merlib.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def start_on_two_cpus(args, **kwargs):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.Popen([sys.executable, "-c", ON_TWO_CPUS, *args],
+                            env={**os.environ, "PYTHONPATH": src},
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            **kwargs)
+
+
 def test_eval_sigterm_stops_running_workers(micro_dir, small_net_cfg,
                                             tmp_path):
     # A plain `kill` of a command-line eval whose folds are still training:
@@ -693,10 +731,7 @@ def test_eval_sigterm_stops_running_workers(micro_dir, small_net_cfg,
     out = tmp_path / "run"
     args = eval_args(micro_dir, small_net_cfg, out)
     args[args.index("--epochs") + 1] = "100000"
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.Popen([sys.executable, "-m", "merlib.cli", *args],
-                            env={**os.environ, "PYTHONPATH": src},
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    proc = start_on_two_cpus(args)
     workers = []
     try:
         children = f"/proc/{proc.pid}/task/{proc.pid}/children"
@@ -769,18 +804,18 @@ def run_on_cpus(monkeypatch, cpus, argv):
 
 def test_train_artifacts_do_not_depend_on_cpu_count(
         batch_dir, small_net_cfg, tmp_path, monkeypatch, helper_starts):
-    # On one CPU this process computes both shards of a step; on two a
-    # helper process computes the second one from the same parameters.
+    # On one CPU this process computes both shards of a step; on two, two
+    # helper processes compute one each from the same parameters.
     one, two = tmp_path / "one", tmp_path / "two"
     assert run_on_cpus(monkeypatch, {0},
                        batch_train_args(batch_dir, small_net_cfg, one)) == 0
     assert helper_starts == []
     assert run_on_cpus(monkeypatch, {0, 1},
                        batch_train_args(batch_dir, small_net_cfg, two)) == 0
-    assert len(helper_starts) == 1
+    assert len(helper_starts) == 2
     for name in ("stage0.ckpt", "stage0.log"):
         assert read_bytes(one / name) == read_bytes(two / name), name
-    # Batches of 70 of 72 samples are three shards: on three CPUs two
+    # Batches of 70 of 72 samples are three shards: on three CPUs three
     # helpers compute one each.
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--classes", "3", "--subjects",
@@ -790,7 +825,7 @@ def test_train_artifacts_do_not_depend_on_cpu_count(
     for cpus, out in zip(({0}, {0, 1, 2}), outs):
         argv = batch_train_args(data, small_net_cfg, out)
         assert run_on_cpus(monkeypatch, cpus, [*argv, "--batch-size", "70"]) == 0
-    assert len(helper_starts) == 2
+    assert len(helper_starts) == 3
     for name in ("stage0.ckpt", "stage0.log"):
         assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name), name
 
@@ -813,9 +848,9 @@ def test_train_artifacts_do_not_depend_on_blas_threads(
 
 def test_eval_forks_one_worker_per_cpu(micro_dir, small_net_cfg, tmp_path,
                                        monkeypatch, helper_starts):
-    # Three folds: one worker on one CPU runs them all, two share them on
-    # two CPUs.
-    for cpus, forks in (({0}, 1), ({0, 1}, 3)):
+    # Three folds: this process runs them all on one CPU, two workers share
+    # them on two CPUs.
+    for cpus, forks in (({0}, 0), ({0, 1}, 2)):
         assert run_on_cpus(monkeypatch, cpus, eval_args(
             micro_dir, small_net_cfg, tmp_path / str(len(cpus)))) == 0
         assert len(helper_starts) == forks
@@ -872,7 +907,7 @@ def test_helper_shard_error_exits_as_in_process(batch_dir, small_net_cfg,
         code = run_on_cpus(monkeypatch, cpus, batch_train_args(
             data, small_net_cfg, tmp_path / f"run{len(cpus)}"))
         outcomes.append((code, capsys.readouterr().err))
-    assert len(helper_starts) == 1
+    assert len(helper_starts) == 2
     assert outcomes[0] == outcomes[1]
     assert outcomes[0] == (1, f"error: {path}: raster has 182 bytes, "
                               f"needs 192\n")
@@ -881,55 +916,52 @@ def test_helper_shard_error_exits_as_in_process(batch_dir, small_net_cfg,
 @pytest.mark.parametrize("when", ["idle", "busy"])
 def test_train_dead_helper_exits_two_naming_its_shard(
         batch_dir, small_net_cfg, tmp_path, monkeypatch, capsys, when):
-    # The helper dies between steps, found when it is sent epoch 1's second
-    # shard, or while it computes epoch 0's.
+    # The helpers die between steps, found when the next step's one shard
+    # is sent; or while they compute the first step's two shards, found as
+    # this process waits for them.
     real_sgd_step = train_module.sgd_step
-    real_shard_pass = train_module._shard_pass
+    real_wait = multiprocessing.connection.wait
 
     def sgd_step(*args, **kwargs):
         kill_children()
         return real_sgd_step(*args, **kwargs)
 
-    def shard_pass(*args):
-        if multiprocessing.parent_process() is None:
-            kill_children()
-        else:
-            time.sleep(60)  # the helper never finishes its shard
-        return real_shard_pass(*args)
+    def shard_pass_never_ends(*args):
+        time.sleep(60)
+
+    def wait(*args, **kwargs):
+        kill_children()
+        return real_wait(*args, **kwargs)
 
     if when == "idle":
         monkeypatch.setattr(train_module, "sgd_step", sgd_step)
     else:
-        monkeypatch.setattr(train_module, "_shard_pass", shard_pass)
+        monkeypatch.setattr(train_module, "_shard_pass", shard_pass_never_ends)
+        monkeypatch.setattr(multiprocessing.connection, "wait", wait)
     assert run_on_cpus(monkeypatch, {0, 1}, batch_train_args(
         batch_dir, small_net_cfg, tmp_path / "run")) == 2
-    epoch = 1 if when == "idle" else 0
     assert capsys.readouterr().err == (
-        f"error: epoch {epoch} shard 1: worker exited with code -9 before "
-        f"sending a result\n")
+        "error: epoch 0 shard 0: worker exited with code -9 before sending a "
+        "result\n")
     assert multiprocessing.active_children() == []
 
 
 def start_training_session(args):
-    """A `merlib train` subprocess in its own session, and its helper's pid
-    once it has forked one."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.Popen([sys.executable, "-m", "merlib.cli", *args],
-                            env={**os.environ, "PYTHONPATH": src},
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                            start_new_session=True)
+    """A `merlib train` subprocess on two CPUs in its own session, and the
+    pids of its two helpers once it has forked them."""
+    proc = start_on_two_cpus(args, start_new_session=True)
     children = f"/proc/{proc.pid}/task/{proc.pid}/children"
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
         assert proc.poll() is None, proc.stderr.read().decode()
         with open(children) as fh:
             helpers = [int(pid) for pid in fh.read().split()]
-        if helpers:
-            return proc, helpers[0]
+        if len(helpers) == 2:
+            return proc, helpers
         time.sleep(0.05)
     proc.kill()
     proc.wait()
-    pytest.fail("no helper started within 30 s")
+    pytest.fail("two helpers did not start within 30 s")
 
 
 def session_members(sid):
@@ -970,16 +1002,17 @@ def test_train_sigterm_stops_its_helper(batch_dir, small_net_cfg, tmp_path):
                     reason="reads process state from /proc")
 def test_helper_exits_when_its_parent_is_killed(batch_dir, small_net_cfg,
                                                 tmp_path):
-    proc, helper = start_training_session(batch_train_args(
+    proc, helpers = start_training_session(batch_train_args(
         batch_dir, small_net_cfg, tmp_path / "run", epochs="100000"))
     try:
         proc.kill()
         proc.wait(timeout=30)
         deadline = time.monotonic() + 1
-        while (process_state(helper) not in (None, "Z")
+        while (any(process_state(pid) not in (None, "Z") for pid in helpers)
                and time.monotonic() < deadline):
             time.sleep(0.01)
-        assert process_state(helper) in (None, "Z")
+        assert [process_state(pid) in (None, "Z") for pid in helpers] == [
+            True, True]
         # It left quietly: no traceback from a pipe closed under it.
         assert proc.stderr.read() == b""
     finally:
@@ -1080,6 +1113,26 @@ def test_visualize_rejects_non_object_checkpoint_header(micro_dir, tmp_path,
     assert f"error: {ckpt}: " in capsys.readouterr().err
 
 
+def test_visualize_rejects_checkpoint_without_blocks(micro_dir, tmp_path,
+                                                     capsys):
+    # `train` accepts blocks = 0; such a network has no attention map.
+    cfg = tmp_path / "no_blocks.cfg"
+    cfg.write_text("input_size = 8\nclasses = 3\nblocks = 0\n")
+    assert main(["train", "--manifest", str(micro_dir / "manifest.csv"),
+                 "--config", str(cfg), "--epochs", "1", "--batch-size", "4",
+                 "--out", str(tmp_path / "train")]) == 0
+    ckpt = tmp_path / "train" / "stage0.ckpt"
+    out = tmp_path / "viz"
+    capsys.readouterr()
+    assert main(["visualize", "--checkpoint", str(ckpt),
+                 "--image", str(micro_dir / "images" / "00000.ppm"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: network has no blocks, so no attention maps to "
+        f"visualize\n")
+    assert not out.exists()
+
+
 def test_visualize_rejects_undersized_image(micro_dir, tmp_path):
     spec = NetworkSpec.stack((3, 16, 16), 1, 4, 3)
     model = build_network(spec, seed=9)
@@ -1109,12 +1162,14 @@ def test_visualize_crops_oversized_image(tmp_path):
 # ---------------------------------------------------------------------------
 # memory reuse
 
-# Trains a batch-50 stage once to warm up, then a 2-epoch and a 6-epoch run
-# of it in one fresh process, and prints the difference of their minor page
-# faults: the four extra steps' share. Without reuse, every step takes its
-# activations and gradients as fresh pages from the kernel again.
+# Trains a 2-epoch batch-50 stage twice to warm up, then prints the minor
+# page faults of a 6-epoch run of it in the same fresh process. Without
+# reuse, every step takes its activations and gradients as fresh pages from
+# the kernel again. The process sees one CPU, so it computes every step
+# itself and the faults it counts are the steps'.
 REPEATED_TRAINING = """
 import os, resource, sys
+os.sched_getaffinity = lambda pid: {0}
 from merlib.cli import main
 from merlib.data import save_manifest, synth_dataset
 out = sys.argv[1]
@@ -1131,8 +1186,8 @@ def faults(epochs):
     assert main(argv) == 0
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 faults(2)
-short = faults(2)
-print(faults(6) - short)
+faults(2)
+print(faults(6))
 """
 
 
@@ -1146,11 +1201,10 @@ def test_repeated_training_reuses_freed_memory(tmp_path):
                              str(tmp_path)], env=env, capture_output=True,
                             text=True, check=True)
     faults = int(result.stdout.splitlines()[-1])
-    # Each run of the stage costs a fixed 24.6k faults where it forks its
-    # shard helper: after the fork the whole retained heap is copy-on-write,
-    # and the first write to each page copies it. The difference cancels
-    # that and leaves the steps: under 300 with the setting, about 112k at
-    # glibc's defaults (glibc 2.36, 2-core VM).
+    # Under 400 with the setting, 93k to 280k at glibc's defaults, where
+    # glibc's moving mmap threshold makes the count depend on the heap's
+    # layout (glibc 2.36, 2-core VM). A difference of two such runs read
+    # -10k at the defaults, so the test counts one run after the warm-up.
     assert faults < 2000
 
 

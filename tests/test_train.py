@@ -1,5 +1,6 @@
 """Schedule, optimizer, training stages, and the transfer pipeline."""
 
+import os
 import pathlib
 import re
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from merlib import tensor as tc
+from merlib import workers
 from merlib.data import synth_dataset
 from merlib.errors import (CheckpointSpecMismatch, ConfigError, ShapeError,
                            TrainingError)
@@ -249,23 +251,27 @@ class TestRunStage:
             texts.append(log.to_text())
         assert texts[0] == texts[1]
 
-    def test_sharded_gradient_equals_single_pass(self):
+    def test_sharded_gradient_equals_single_pass(self, monkeypatch):
         # An uneven batch of 45 is two shards, of 23 and 22 samples, weighted
         # 23/45 and 22/45: their sum is the gradient of one pass over all 45
-        # up to rounding.
+        # up to rounding. Both passes augment with epoch 1's streams.
         data = synth_dataset(3, 3, 5, image_size=8, seed=2)  # 45 samples
         model = build_network(NetworkSpec.stack((3, 8, 8), 2, 4, 3), seed=3)
-        shard = partial(_shard_pass, model, data, data.label_indices(), None, 0)
+        shard = partial(_shard_pass, model, data, data.label_indices(),
+                        PRESETS["pretrain"].augment, 0)
+        params = model.parameters()
+        arrays = [p.data for p in params.values()]
         idx = np.random.default_rng(0).permutation(len(data))
-        loss, single = shard(0, idx)
+        loss, single = shard(arrays, 1, idx)
         sizes = []
 
-        def recording_shard(epoch, shard_idx):
+        def recording_shard(arrays, epoch, shard_idx):
             sizes.append(len(shard_idx))
-            return shard(epoch, shard_idx)
+            return shard(arrays, epoch, shard_idx)
 
-        loss_sum, sharded = _batch_grads(recording_shard, 0, idx,
-                                         model.parameters())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with workers.Pool(recording_shard, 2) as pool:  # runs in-process
+            loss_sum, sharded = _batch_grads(1, idx, params, pool)
         assert sizes == [23, 22]
         assert loss_sum == pytest.approx(45 * loss, rel=1e-12, abs=0)
         assert list(sharded) == list(single)
