@@ -144,11 +144,11 @@ def load_manifest(path) -> Manifest:
 def save_manifest(manifest: Manifest, out_dir) -> str:
     """Write out_dir/manifest.csv; in-memory images go to images/ first."""
     os.makedirs(out_dir, exist_ok=True)
-    image_dir = os.path.join(out_dir, "images")
+    if any(isinstance(s.image, np.ndarray) for s in manifest.samples):
+        os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     rows = []
     for i, s in enumerate(manifest.samples):
         if isinstance(s.image, np.ndarray):
-            os.makedirs(image_dir, exist_ok=True)
             rel = os.path.join("images", f"{i:05d}.ppm")
             imageio.write_ppm(os.path.join(out_dir, rel), s.image)
         else:
@@ -404,6 +404,9 @@ def synth_dataset(n_classes: int, n_subjects: int, per_class: int,
     yy, xx = np.meshgrid(np.arange(size, dtype=np.float64),
                          np.arange(size, dtype=np.float64), indexing="ij")
 
+    signal = np.stack([110.0 * patterns[c][:, :, None]
+                       * np.roll(base_weights, c)[None, None, :]
+                       for c in range(n_classes)])
     samples = []
     for si in range(n_subjects):
         offset = rng.uniform(-10.0, 10.0, size=3)
@@ -411,17 +414,17 @@ def synth_dataset(n_classes: int, n_subjects: int, per_class: int,
         fy, fx = rng.integers(1, 4, size=2)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         texture = tex_amp * np.sin(2.0 * math.pi * (fy * yy + fx * xx) / size + phase)
-        for j in range(per_class * n_classes):
-            c = j % n_classes
-            weights = np.roll(base_weights, c)
-            noise = rng.uniform(-8.0, 8.0, size=(size, size, 3))
-            img = (120.0 + offset[None, None, :] + texture[:, :, None]
-                   + 110.0 * patterns[c][:, :, None] * weights[None, None, :]
-                   + noise)
-            samples.append(Sample(
-                image=np.clip(np.rint(img), 0, 255).astype(np.uint8),
-                subject_id=f"s{si:02d}",
-                database_id=database_id,
-                raw_label=class_names[c],
-                label=class_names[c]))
+        # Sample j shows class j % n_classes. One draw fills the subject's
+        # noise in the order per-image draws would, and the rest of each
+        # image is added into it in place: addition commutes exactly, so
+        # the stream and every image stay the same.
+        images = rng.uniform(-8.0, 8.0, size=(per_class, n_classes, size, size, 3))
+        images += 120.0 + offset[None, None, :] + texture[:, :, None] + signal
+        np.rint(images, out=images)
+        images = np.clip(images, 0, 255, out=images).astype(np.uint8)
+        samples += [Sample(image=img, subject_id=f"s{si:02d}",
+                           database_id=database_id,
+                           raw_label=class_names[j % n_classes],
+                           label=class_names[j % n_classes])
+                    for j, img in enumerate(images.reshape(-1, size, size, 3))]
     return Manifest(samples, class_names)

@@ -8,10 +8,11 @@ execution is eager; when a tape is active each op appends itself, and
 backward replays the records in reverse order.
 
 Every convolution, forward and both gradients, runs through one lowering
-along the column axis (MEC, `_lowered`): each image of the zero-padded
-input is copied kw times, not kh*kw times as by im2col, and each kernel
-row multiplies a row window of that copy, kh GEMMs per image summed into
-the output (`_correlate`).
+along the column axis (MEC, `_lowered`): each image of the input is copied
+kw times, not kh*kw times as by im2col, straight into the lowered matrix
+with its zero padding (no padded copy of the input is made or kept), and
+each kernel row multiplies a row window of that matrix, kh GEMMs per image
+summed into the output (`_correlate`).
 """
 
 import math
@@ -149,33 +150,53 @@ def _check_finite(arr, what: str):
 # ---------------------------------------------------------------------------
 # convolution
 
-def _lowered(buf: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
-    """MEC's one-axis lowering (Cho & Brand, arXiv 1706.06873) of padded
-    images buf [N,C,Hp,Wp]: yields, image by image, the kh column blocks
-    [C*kw, oh*ow] that the kernel rows w[:, :, di, :] multiply.
+def _inside(first: int, count: int, stride: int, size: int) -> tuple:
+    """Of the positions first + t*stride, t < count, those inside [0, size):
+    (the t slice, the slice of the positions)."""
+    t0 = max(0, -(first // stride))
+    t1 = max(t0, min(count, (size - 1 - first) // stride + 1))
+    lo = first + t0 * stride
+    return slice(t0, t1), slice(lo, lo + (t1 - t0) * stride, stride)
 
-    Each row phase r < min(stride, kh) copies the kw column-shifted,
-    column-strided windows of rows r, r + stride, ... into one
+
+def _lowered(x: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int,
+             oh: int, ow: int):
+    """MEC's one-axis lowering (Cho & Brand, arXiv 1706.06873) of images
+    x [N,C,H,W] zero-padded by ph rows and pw columns on each side: yields,
+    image by image, the kh column blocks [C*kw, oh*ow] that the kernel rows
+    w[:, :, di, :] multiply.
+
+    Each row phase r < min(stride, kh) holds the kw column-shifted,
+    column-strided windows of padded rows r, r + stride, ... in one
     [C*kw, rows*ow] matrix. Tap row di = q*stride + r reads its columns
-    q*ow:(q+oh)*ow, a 2-D slice BLAS takes without a further copy. The
-    matrices are reused, so an image's blocks hold until the next is
-    yielded. With kw = 1 and stride 1 the matrix is the image itself.
+    q*ow:(q+oh)*ow, a 2-D slice BLAS takes without a further copy. No padded
+    copy of x is made: each window is copied straight from x into the cells
+    that fall inside it, and the cells that fall in the padding, the same
+    border strips for every image, are zeroed once per call. The matrices
+    are reused, so an image's blocks hold until the next is yielded. With
+    kw = 1, stride 1 and no padding the matrix is the image itself.
     """
-    n, c = buf.shape[:2]
-    if kw == 1 and stride == 1:
-        flat = buf.reshape(n, c, -1)
+    n, c, h, wd = x.shape
+    if kw == 1 and stride == 1 and not (ph or pw):
+        flat = x.reshape(n, c, -1)
         yield from zip(*(flat[:, :, di * ow:(di + oh) * ow] for di in range(kh)))
         return
     phases = [np.empty((c, kw, oh + (kh - 1 - r) // stride, ow))
               for r in range(min(stride, kh))]
+    copies = []  # (destination cells, source rows, source columns)
+    for r, m in enumerate(phases):
+        rows, src_rows = _inside(r - ph, m.shape[2], stride, h)
+        m[:, :, :rows.start] = m[:, :, rows.stop:] = 0.0
+        for dj in range(kw):
+            cols, src_cols = _inside(dj - pw, ow, stride, wd)
+            m[:, dj, rows, :cols.start] = m[:, dj, rows, cols.stop:] = 0.0
+            copies.append((m[:, dj, rows, cols], src_rows, src_cols))
     mats = [m.reshape(c * kw, -1) for m in phases]
     blocks = [mats[di % stride][:, di // stride * ow:(di // stride + oh) * ow]
               for di in range(kh)]
-    for xi in buf:
-        for r, m in enumerate(phases):
-            src = xi[:, r:r + m.shape[2] * stride:stride]
-            for dj in range(kw):
-                m[:, dj] = src[:, :, dj:dj + ow * stride:stride]
+    for xi in x:
+        for dst, src_rows, src_cols in copies:
+            dst[...] = xi[:, src_rows, src_cols]
         yield blocks
 
 
@@ -187,31 +208,25 @@ def _correlate(x: np.ndarray, w: np.ndarray, ph: int, pw: int, stride: int = 1):
     Image i's output is the sum over kernel rows di of w[:, :, di, :] as
     [O,C*kw] times that row's column block from `_lowered`: kh GEMMs per
     image, the first written in place and the rest added to it, over a
-    lowered copy kw (not kh*kw) times the image's size. Returns the
-    [N,O,Oh,Ow] output and the padded input, from which the weight
-    gradient lowers the same blocks again.
+    lowered copy kw (not kh*kw) times the image's size. No padded copy of
+    x is made. Returns the [N,O,Oh,Ow] output.
     """
     ch, cw = max(-ph, 0), max(-pw, 0)
     x = x[:, :, ch:x.shape[2] - ch, cw:x.shape[3] - cw]
     ph, pw = max(ph, 0), max(pw, 0)
     n, c, h, wd = x.shape
     cout, _, kh, kw = w.shape
-    if ph or pw:
-        buf = np.zeros((n, c, h + 2 * ph, wd + 2 * pw))
-        buf[:, :, ph:ph + h, pw:pw + wd] = x
-    else:
-        buf = x
     oh = (h + 2 * ph - kh) // stride + 1
     ow = (wd + 2 * pw - kw) // stride + 1
     taps = list(w.transpose(2, 0, 1, 3).reshape(kh, cout, c * kw))
     out = np.empty((n, cout, oh * ow))
     part = np.empty((cout, oh * ow))
-    for oi, blocks in zip(out, _lowered(buf, kh, kw, stride, oh, ow)):
+    for oi, blocks in zip(out, _lowered(x, kh, kw, stride, ph, pw, oh, ow)):
         np.matmul(taps[0], blocks[0], out=oi)
         for di in range(1, kh):
             np.matmul(taps[di], blocks[di], out=part)
             oi += part
-    return out.reshape(n, cout, oh, ow), buf
+    return out.reshape(n, cout, oh, ow)
 
 
 def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tensor:
@@ -221,13 +236,14 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tenso
     spatial extent (H + 2*pad - kh) / stride + 1 must come out as an exact
     integer; fractional extents are rejected rather than truncated.
 
-    Every kernel, stride and pad runs through `_correlate`. Backward: the
-    gradient of kernel row di sums g[i] @ (its column block of image i)^T
-    over the images in order, the blocks lowered again from the padded
-    input that forward returned; dx is the stride-1 correlation of g with
-    the flipped, transposed kernel, padded by k-1-pad per axis (each input
-    pixel sums the gradients of the windows that cover it). A strided conv
-    first scatters g into zeros of the stride-1 output shape.
+    Every kernel, stride and pad runs through `_correlate`, and the tape
+    keeps no padded copy of x, only the output. Backward: the gradient of
+    kernel row di sums g[i] @ (its column block of image i)^T over the
+    images in order, the blocks lowered again from x; dx is the stride-1
+    correlation of g with the flipped, transposed kernel, padded by
+    k-1-pad per axis (each input pixel sums the gradients of the windows
+    that cover it). A strided conv first scatters g into zeros of the
+    stride-1 output shape.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be [N,C,H,W], got shape {x.shape}")
@@ -250,7 +266,7 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tenso
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},), got {b.shape}")
 
-    y, buf = _correlate(x.data, w.data, pad, pad, stride)
+    y = _correlate(x.data, w.data, pad, pad, stride)
     if b is not None:
         y += b.data[:, None, None]
     out = Tensor(y)
@@ -262,7 +278,8 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tenso
             oh, ow = g.shape[2:]
             gw = np.zeros((kh, cout, cin * kw))
             for gi, blocks in zip(g.reshape(n, cout, oh * ow),
-                                  _lowered(buf, kh, kw, stride, oh, ow)):
+                                  _lowered(x.data, kh, kw, stride, pad,
+                                           pad, oh, ow)):
                 for di in range(kh):
                     gw[di] += gi @ blocks[di].T
             _accum(w, gw.reshape(kh, cout, cin, kw).transpose(1, 2, 0, 3))
@@ -272,7 +289,7 @@ def conv2d(x: Tensor, w: Tensor, b=None, stride: int = 1, pad: int = 0) -> Tenso
                 gs[:, :, ::stride, ::stride] = g
                 g = gs
             wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            dx, _ = _correlate(g, wt, kh - 1 - pad, kw - 1 - pad)
+            dx = _correlate(g, wt, kh - 1 - pad, kw - 1 - pad)
             # dx is a fresh array no other tensor holds, so x's earlier
             # gradient is added into it instead of into a third buffer.
             if x.grad is not None:

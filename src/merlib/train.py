@@ -7,9 +7,10 @@ Everything is deterministic from (seed, data, preset): epoch shuffles come
 from (seed, epoch) and each sample's augmentation generator from
 (seed, sample_index, epoch), so the batch stream replays exactly no matter
 how the work is scheduled. Each batch is split into fixed shards of at most
-SHARD_SIZE samples whose gradients are combined in shard order, so a stage
-that computes its shards in forked helper processes (to use more CPUs)
-writes the same bytes as one that computes them in-process.
+SHARD_SIZE samples whose gradients are combined in shard order, and each
+epoch's validation set into fixed shards whose predictions are concatenated,
+so a stage that computes its shards in forked helper processes (to use more
+CPUs) writes the same bytes as one that computes them in-process.
 """
 
 import math
@@ -182,10 +183,21 @@ def predict_classes(model: Network, manifest: Manifest) -> np.ndarray:
     return out
 
 
-def evaluate_accuracy(model: Network, manifest: Manifest) -> float:
+def evaluate_accuracy(model: Network, manifest: Manifest, pool=None) -> float:
+    """Share of `manifest` that `model` classifies correctly. With `pool`, a
+    stage's pool whose held-out set is `manifest`, its tasks predict the
+    manifest in fixed shards of at most SHARD_SIZE samples from `model`'s
+    current parameter arrays; without, this process predicts it."""
     if len(manifest) == 0:
         raise ConfigError("cannot evaluate accuracy on an empty manifest")
-    predicted = predict_classes(model, manifest)
+    if pool is None:
+        predicted = predict_classes(model, manifest)
+    else:
+        arrays = [p.data for p in model.parameters().values()]
+        shards = _shards(np.arange(len(manifest)))
+        predicted = np.concatenate(list(pool.imap(
+            (f"validation shard {i}", (arrays, None, s))
+            for i, s in enumerate(shards))))
     return float(np.mean(predicted == manifest.label_indices()))
 
 
@@ -219,25 +231,34 @@ class TrainLog:
         write_atomic(path, self.to_text().encode())
 
 
-# Most samples one forward and backward pass takes. Batches are split into
-# near-equal shards of at most this many, so a step's result depends on the
-# batch, never on how many processes compute its shards.
+# Most samples one forward and backward pass takes. Batches and validation
+# sets are split into near-equal shards of at most this many, so a result
+# depends on the samples, never on how many processes compute the shards.
 SHARD_SIZE = 32
 
 
+def _shards(idx) -> list:
+    """`idx` split in order into ceil(len / SHARD_SIZE) near-equal shards."""
+    return np.array_split(idx, math.ceil(len(idx) / SHARD_SIZE))
+
+
 def _shard_pass(model: Network, train: Manifest, labels, augment_cfg,
-                seed: int, arrays, epoch: int, idx) -> tuple:
-    """A stage's task: load the step's parameter arrays into `model` (in the
-    stage's own process they already are its arrays), assemble shard `idx`
-    of an epoch-`epoch` batch (decode, plus the augmentation of (seed,
-    sample, epoch)), run its forward and backward pass, and return (its mean
-    loss, {parameter name: gradient})."""
+                seed: int, val, arrays, epoch, idx):
+    """A stage's task: load the parameter arrays into `model` (in the stage's
+    own process they already are its arrays), then either predict shard
+    `idx` of the held-out set `val` (epoch None), returning its classes
+    from `predict_classes`, or assemble shard `idx` of an epoch-`epoch`
+    batch (decode, plus the augmentation of (seed, sample, epoch)), run its
+    forward and backward pass, and return (its mean loss, {parameter name:
+    gradient})."""
     def sample_rng(i):
         return np.random.default_rng(np.random.SeedSequence((seed, int(i), epoch)))
 
     params = model.parameters()
     for p, a in zip(params.values(), arrays):
         p.data = a
+    if epoch is None:
+        return predict_classes(model, val.subset(idx))
     x = _batch_array(train, idx, model.spec.input_shape,
                      augment_cfg=augment_cfg, rng_for=sample_rng)
     model.zero_grads()
@@ -249,16 +270,15 @@ def _shard_pass(model: Network, train: Manifest, labels, augment_cfg,
 
 def _batch_grads(epoch: int, idx, params, pool) -> tuple:
     """One step's (loss sum, {name: gradient}) for batch `idx`, its shards
-    computed by `pool` (a `workers.Pool` serving `_shard_pass`) from the
-    current arrays of `params`.
+    (`_shards`) computed by `pool` (a `workers.Pool` serving `_shard_pass`)
+    from the current arrays of `params`.
 
-    The batch is split, in order, into ceil(b / SHARD_SIZE) near-equal
-    shards. The gradient is the sum over shards of (n_s / b) * g_s and the
+    The gradient is the sum over shards of (n_s / b) * g_s and the
     loss sum that of n_s * loss_s, both in shard order; a batch of at most
     SHARD_SIZE is one shard with weight exactly 1. Failures surface in shard
     order, as an in-process run raises them.
     """
-    shards = np.array_split(idx, math.ceil(len(idx) / SHARD_SIZE))
+    shards = _shards(idx)
     arrays = [p.data for p in params.values()]
     results = pool.imap((f"epoch {epoch} shard {i}", (arrays, epoch, s))
                         for i, s in enumerate(shards))
@@ -298,8 +318,8 @@ def run_stage(model: Network, train_manifest: Manifest, val_manifest,
     """Train `model` in place for preset.epochs epochs; returns (model, log).
 
     Each epoch is first scored on `val_manifest`, a held-out set whose
-    labels are in the training vocabulary; with None the stage skips that
-    pass and logs nan.
+    labels are in the training vocabulary, by `evaluate_accuracy` on the
+    stage's pool; with None the stage skips that pass and logs nan.
 
     Resampling (when the preset asks for it) happens once up front. Every
     epoch reshuffles from (seed, epoch); each sample's augmentation stream
@@ -308,10 +328,11 @@ def run_stage(model: Network, train_manifest: Manifest, val_manifest,
     independent augmentations.
 
     Each step's gradient comes from fixed shards of its batch
-    (`_batch_grads`), computed by the stage's `workers.Pool`: in this
-    process, or in forked helpers that end with the stage and write
-    nothing. Either way the results are the same bytes, so artifacts depend
-    on (seed, data, preset) only, never on the CPU or BLAS thread count.
+    (`_batch_grads`), and each validation from fixed shards of the held-out
+    set, computed by the stage's `workers.Pool`: in this process, or in
+    forked helpers that end with the stage and write nothing. Either way
+    the results are the same bytes, so artifacts depend on (seed, data,
+    preset) only, never on the CPU or BLAS thread count.
     """
     train = stage_training_set(train_manifest, preset, model.spec.num_classes)
     n = len(train)
@@ -322,11 +343,11 @@ def run_stage(model: Network, train_manifest: Manifest, val_manifest,
     log = TrainLog()
     seed = int(seed)
     with workers.Pool(partial(_shard_pass, model, train, labels,
-                              preset.augment, seed),
+                              preset.augment, seed, val_manifest),
                       math.ceil(preset.batch_size / SHARD_SIZE)) as pool:
         for epoch in range(preset.epochs):
             lr = lr_at(schedule, epoch)
-            val_acc = (evaluate_accuracy(model, val_manifest)
+            val_acc = (evaluate_accuracy(model, val_manifest, pool)
                        if val_manifest is not None else float("nan"))
             order = np.random.default_rng(
                 np.random.SeedSequence((seed, epoch))).permutation(n)

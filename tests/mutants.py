@@ -108,6 +108,16 @@ MUTANTS = [
      "mats[di % stride]",
      "mats[(di + 1) % stride]",
      ["tests/test_tensor.py::TestConv2dProperties::test_matches_loop_oracle"]),
+    # Conv lowering: the cells of the lowered matrices that fall in the
+    # padding are zeroed, as no padded copy of the input is made.
+    ("merlib/tensor.py",
+     "        m[:, :, :rows.start] = m[:, :, rows.stop:] = 0.0\n"
+     "        for dj in range(kw):\n"
+     "            cols, src_cols = _inside(dj - pw, ow, stride, wd)\n"
+     "            m[:, dj, rows, :cols.start] = m[:, dj, rows, cols.stop:] = 0.0\n",
+     "        for dj in range(kw):\n"
+     "            cols, src_cols = _inside(dj - pw, ow, stride, wd)\n",
+     ["tests/test_tensor.py::TestConv2dProperties::test_matches_loop_oracle"]),
     # A block stride must tile its input before any work starts.
     ("merlib/model.py",
      "if (h - 1) % b.stride or (w - 1) % b.stride:",
@@ -119,6 +129,13 @@ MUTANTS = [
      "        p.data = a\n",
      "        p.data = p.data\n",
      ["tests/test_cli.py::test_train_artifacts_do_not_depend_on_cpu_count"]),
+    # A validation shard carries the parameters entering its epoch, not
+    # copies kept from the stage's first validation.
+    ("merlib/train.py",
+     "(arrays, None, s)",
+     "(evaluate_accuracy.__dict__.setdefault("
+     "'stale', [a.copy() for a in arrays]), None, s)",
+     ["tests/test_cli.py::test_train_validation_does_not_depend_on_cpu_count"]),
     # Every shard is augmented with its step's epoch stream.
     ("merlib/train.py",
      "(arrays, epoch, s)",

@@ -830,6 +830,42 @@ def test_train_artifacts_do_not_depend_on_cpu_count(
         assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name), name
 
 
+def test_train_validation_does_not_depend_on_cpu_count(
+        batch_dir, small_net_cfg, tmp_path, monkeypatch, helper_starts):
+    # 42 held-out samples are two validation shards of 21. On one CPU this
+    # process predicts them; on two and three CPUs the stage's two helpers
+    # do, from the parameters entering each epoch, and this process
+    # predicts none.
+    val = tmp_path / "val"
+    assert main(["synth", "--out", str(val), "--classes", "3", "--subjects",
+                 "2", "--per-class", "7", "--size", "8", "--seed", "9"]) == 0
+    predicting = []
+    real_predict = train_module.predict_classes
+
+    def predict_classes(model, manifest):
+        predicting.append(len(manifest))
+        return real_predict(model, manifest)
+
+    monkeypatch.setattr(train_module, "predict_classes", predict_classes)
+    runs = []
+    for cpus in ({0}, {0, 1}, {0, 1, 2}):
+        out = tmp_path / f"cpus{len(cpus)}"
+        argv = [*batch_train_args(batch_dir, small_net_cfg, out),
+                "--val-manifest", str(val / "manifest.csv")]
+        assert run_on_cpus(monkeypatch, cpus, argv) == 0
+        runs.append([read_bytes(out / name)
+                     for name in ("stage0.ckpt", "stage0.log")])
+        if cpus == {0}:
+            assert predicting == [21, 21] * 3
+    assert predicting == [21, 21] * 3
+    assert len(helper_starts) == 4
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    # The accuracy moves between epochs, so a validation from stale
+    # parameters would change the log.
+    rows = runs[0][1].decode().splitlines()[1:]
+    assert len({row.split("\t")[3] for row in rows}) > 1
+
+
 def test_train_artifacts_do_not_depend_on_blas_threads(
         batch_dir, small_net_cfg, tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))

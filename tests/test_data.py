@@ -1,5 +1,6 @@
 """Manifests, augmentation, resampling, synthetic data, image IO."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -254,6 +255,18 @@ class TestSynthDataset:
         c = synth_dataset(3, 2, 2, image_size=16, seed=10)
         assert any(sa.image.tobytes() != sc.image.tobytes()
                    for sa, sc in zip(a.samples, c.samples))
+
+    def test_images_are_pinned(self):
+        # The digest of an earlier per-image implementation: the pixel
+        # stream's draw order and the images' arithmetic must not change,
+        # or every dataset made from a seed changes.
+        m = synth_dataset(3, 2, 2, image_size=9, seed=4)
+        digest = hashlib.sha256(b"".join(s.image.tobytes() for s in m.samples))
+        assert digest.hexdigest() == (
+            "83e6a5dcb6742a4bc98f7c7d3b329ee330d19a435d7356a67b03e3db999a5d5d")
+        assert [s.label for s in m.samples[:6]] == [
+            "class0", "class1", "class2"] * 2
+        assert [s.subject_id for s in m.samples] == ["s00"] * 6 + ["s01"] * 6
 
     def test_class_signal_sits_in_its_quadrant(self):
         # Every subject contributes equally to every class mean, so texture

@@ -1,5 +1,7 @@
 """Autodiff core: forward oracles and finite-difference gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -200,6 +202,24 @@ class TestConv2dProperties:
         singles = [run(x[i:i + 1], g[i:i + 1]) for i in range(n)]
         assert out.tobytes() == np.concatenate([o for o, _ in singles]).tobytes()
         assert dx.tobytes() == np.concatenate([d for _, d in singles]).tobytes()
+
+    def test_taped_padded_conv_keeps_only_its_output(self):
+        # The tape holds x itself and the output, no zero-padded copy of x:
+        # recording a pad-1 conv grows the traced bytes by about out.nbytes.
+        rng = np.random.default_rng(5)
+        x = tc.Tensor(rng.standard_normal((8, 8, 16, 16)), requires_grad=True)
+        w = tc.Tensor(rng.standard_normal((8, 8, 3, 3)), requires_grad=True)
+        padded_nbytes = 8 * 8 * 18 * 18 * 8
+        tracemalloc.start()
+        try:
+            with tc.Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                out = tc.conv2d(x, w, pad=1)
+                kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        assert out.data.nbytes <= kept < out.data.nbytes + padded_nbytes // 4
 
 
 class TestChannelOps:

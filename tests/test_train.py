@@ -258,7 +258,7 @@ class TestRunStage:
         data = synth_dataset(3, 3, 5, image_size=8, seed=2)  # 45 samples
         model = build_network(NetworkSpec.stack((3, 8, 8), 2, 4, 3), seed=3)
         shard = partial(_shard_pass, model, data, data.label_indices(),
-                        PRESETS["pretrain"].augment, 0)
+                        PRESETS["pretrain"].augment, 0, None)
         params = model.parameters()
         arrays = [p.data for p in params.values()]
         idx = np.random.default_rng(0).permutation(len(data))
